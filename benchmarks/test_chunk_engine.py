@@ -1,15 +1,17 @@
-"""Measured chunk-engine benchmark: serial baseline vs the parallel engine.
+"""Measured chunk-engine benchmark: per-chunk baseline vs the gate loop.
 
-Times the actual numpy implementations of a single-gate chunked apply -
-the unit of work every functional simulation repeats per gate - and
-compares three paths on the *same* state size in the *same* process:
+Times the actual numpy implementations of a single-gate apply - the unit
+of work every functional simulation repeats per gate - and compares three
+paths on the *same* state size in the *same* process:
 
-* ``legacy``   - the gather/compute/scatter arithmetic the serial engine
-  uses for non-diagonal cross-chunk gates (the pre-zero-copy baseline,
-  replicated here verbatim so the comparison survives refactors),
-* ``serial``   - ``ChunkedStateVector.apply`` with ``workers=1``,
-* ``parallel`` - :class:`~repro.statevector.parallel.ParallelChunkEngine`
-  with the benchmark worker count (zero-copy / fused kernels).
+* ``legacy``   - the per-chunk gather/compute/scatter arithmetic of the
+  original chunked engine (replicated here verbatim so the comparison
+  survives refactors),
+* ``serial``   - ``ChunkedStateVector.apply``: the gate loop's tiled
+  sweep (:func:`~repro.statevector.loop.sweep`) on the calling thread,
+* ``parallel`` - the same sweep with a
+  :class:`~repro.statevector.parallel.ChunkWorkerPool` of the benchmark
+  worker count (the tiles split across workers).
 
 Results are printed and written to ``BENCH_kernels.json`` next to the
 working directory; ``benchmarks/check_kernel_regression.py`` compares the
@@ -24,9 +26,9 @@ produces in one tiled pass.
 
 Set ``QGPU_BENCH_SMOKE=1`` for a fast CI-sized run (2^20 amplitudes, one
 repeat); the full run uses 2^22 amplitudes and asserts the headline
-results: the parallel engine at least doubles single-gate chunked-apply
+results: the pooled sweep at least doubles single-gate chunked-apply
 throughput over the serial baseline, the tiled in-place kernel beats the
-legacy inside-chunk path by >= 1.5x, and the inline-serial floor keeps
+legacy inside-chunk path by >= 1.5x, and the per-worker byte floor keeps
 parallel diagonal apply no slower than serial.
 """
 
@@ -44,7 +46,7 @@ from repro.circuits.gates import Gate
 from repro.statevector.apply import apply_gate
 from repro.statevector.chunks import ChunkedStateVector, chunk_pair_groups
 from repro.statevector.fusion import fuse_slabs
-from repro.statevector.parallel import ParallelChunkEngine
+from repro.statevector.parallel import ChunkWorkerPool
 
 SMOKE = os.environ.get("QGPU_BENCH_SMOKE", "") not in ("", "0")
 
@@ -165,20 +167,19 @@ def _emit() -> None:
 
 
 def _measure(gate: Gate) -> tuple[float, float, float]:
-    with ParallelChunkEngine(WORKERS) as engine:
+    pool = ChunkWorkerPool(WORKERS)
+    try:
         state = _random_state()
-        engine.apply_groups(  # one warm-up pass to start threads / allocate scratch
-            state,
-            gate,
-            chunk_pair_groups(NUM_QUBITS, CHUNK_BITS, gate.qubits),
-        )
+        state.apply(gate, pool)  # one warm-up pass to start threads / allocate scratch
         legacy_s, serial_s, parallel_s = _time_paths(
             [
                 (lambda s: _legacy_apply(s, gate), _random_state()),
                 (lambda s: s.apply(gate), _random_state()),
-                (lambda s: s.apply(gate, engine), state),
+                (lambda s: s.apply(gate, pool), state),
             ]
         )
+    finally:
+        pool.close()
     return legacy_s, serial_s, parallel_s
 
 
@@ -196,20 +197,23 @@ def _measure_run(gates: list[Gate]) -> tuple[float, float, float]:
         for gate in gates:
             _legacy_apply(state, gate)
 
-    def fused(state: ChunkedStateVector, engine=None) -> None:
+    def fused(state: ChunkedStateVector, pool=None) -> None:
         for op in ops:
-            state.apply(op, engine)
+            state.apply(op, pool)
 
-    with ParallelChunkEngine(WORKERS) as engine:
+    pool = ChunkWorkerPool(WORKERS)
+    try:
         state = _random_state()
-        fused(state, engine)  # warm-up: threads, scratch, memoized slab data
+        fused(state, pool)  # warm-up: threads, scratch, memoized slab data
         legacy_s, serial_s, parallel_s = _time_paths(
             [
                 (legacy, _random_state()),
                 (fused, _random_state()),
-                (lambda s: fused(s, engine), state),
+                (lambda s: fused(s, pool), state),
             ]
         )
+    finally:
+        pool.close()
     return legacy_s, serial_s, parallel_s
 
 
@@ -241,10 +245,11 @@ def test_chunk_engine_diagonal_cross_chunk() -> None:
     least host-sensitive of the three (no BLAS shape effects, no thread
     scaling needed), so this is where the recipe's >= 2x claim is gated.
 
-    One diagonal sweep at this size sits below the engine's inline-serial
-    work floor, so the "parallel" path runs the identical serial code -
-    the second assert pins that delegation (parallel must not pay pool
-    overhead the work cannot amortise).
+    One diagonal sweep at this size sits below the per-worker byte floor
+    (:func:`~repro.statevector.parallel.op_parts`), so the "parallel"
+    path runs the identical serial code - the second assert pins that
+    delegation (parallel must not pay pool overhead the work cannot
+    amortise).
     """
     gate = Gate("rz", (NUM_QUBITS - 1,), (0.3,))
     legacy_s, serial_s, parallel_s = _measure(gate)
@@ -256,14 +261,14 @@ def test_chunk_engine_diagonal_cross_chunk() -> None:
         f"baseline (floor x{floor})"
     )
     if not SMOKE:
-        # Below the inline-serial work floor the parallel engine delegates
-        # to the identical serial kernels, so this compares the same code
+        # Below the per-worker byte floor the pooled sweep runs the
+        # identical serial kernels, so this compares the same code
         # path twice: 10% covers run-to-run noise while still catching the
         # ~2x regression of an actual fan-out on a small sweep.
         assert parallel_s <= serial_s / 0.90, (
             f"parallel diagonal apply ({parallel_s:.4f}s) is slower than "
-            f"serial ({serial_s:.4f}s) beyond timing noise: the inline-"
-            "serial work floor is not delegating small sweeps"
+            f"serial ({serial_s:.4f}s) beyond timing noise: the per-worker "
+            "byte floor is not keeping small sweeps inline"
         )
 
 
@@ -340,8 +345,11 @@ def test_chunk_engine_paths_agree() -> None:
         legacy = _random_state(3)
         _legacy_apply(legacy, gate)
         serial = _random_state(3).apply(gate)
-        with ParallelChunkEngine(WORKERS) as engine:
-            parallel = _random_state(3).apply(gate, engine)
+        pool = ChunkWorkerPool(WORKERS)
+        try:
+            parallel = _random_state(3).apply(gate, pool)
+        finally:
+            pool.close()
         np.testing.assert_allclose(
             serial.to_dense(), legacy.to_dense(), atol=1e-12
         )
@@ -367,10 +375,13 @@ def test_chunk_engine_fused_paths_agree() -> None:
     serial = _random_state(3)
     for op in ops:
         serial.apply(op)
-    with ParallelChunkEngine(WORKERS) as engine:
+    pool = ChunkWorkerPool(WORKERS)
+    try:
         parallel = _random_state(3)
         for op in ops:
-            parallel.apply(op, engine)
+            parallel.apply(op, pool)
+    finally:
+        pool.close()
     np.testing.assert_allclose(serial.to_dense(), legacy.to_dense(), atol=1e-12)
     np.testing.assert_allclose(parallel.to_dense(), legacy.to_dense(), atol=1e-12)
 

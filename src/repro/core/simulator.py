@@ -35,10 +35,8 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compression.profile import family_ratio
-from repro.core.basis_tracking import BasisTracker
 from repro.core.executor import TimedExecutor, TimedResult
 from repro.core.involvement import InvolvementTracker
-from repro.core.pruning import chunk_is_pruned
 from repro.core.reorder import reorder
 from repro.core.versions import QGPU, VersionConfig
 from repro.errors import (
@@ -48,18 +46,26 @@ from repro.errors import (
     SimulationError,
 )
 from repro.hardware.machine import Machine
-from repro.hardware.specs import AMP_BYTES, MachineSpec, PAPER_MACHINE
+from repro.hardware.specs import MachineSpec, PAPER_MACHINE
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.reliability.cancellation import CancellationToken
 from repro.reliability.checkpoint import load_checkpoint, save_checkpoint
 from repro.reliability.faults import FaultKind, FaultPlan
 from repro.reliability.integrity import ChunkTransferGuard, check_norm
 from repro.reliability.policy import DEFAULT_POLICY, RecoveryPolicy, ReliabilityReport
-from repro.statevector.apply import apply_gate
-from repro.statevector.chunks import ChunkedStateVector, chunk_pair_groups
-from repro.statevector.fusion import slab_members
+from repro.statevector.chunks import ChunkedStateVector
+from repro.statevector.fusion import GateSlab
 from repro.statevector.kernels import set_kernel_counters
-from repro.statevector.parallel import ParallelChunkEngine, resolve_workers
+from repro.statevector.loop import (
+    LiveTracker,
+    OpLive,
+    apply_to_buffer,
+    compile_ops,
+    live_chunk_groups,
+    multiply_diagonal,
+    run_gate_loop,
+)
+from repro.statevector.parallel import resolve_workers
 
 
 @dataclass
@@ -629,7 +635,6 @@ class QGpuSimulator:
         # deterministic for recovery to be reproducible.
         requested = workers if workers is not None else self.workers
         resolved = 1 if guard is not None else resolve_workers(requested, 1 << n)
-        engine = ParallelChunkEngine(resolved, tracer) if resolved > 1 else None
 
         # Fusion contracts gate runs into slabs before the sweep loop.  It
         # is bypassed whenever per-gate semantics must stay exact: guarded
@@ -644,93 +649,38 @@ class QGpuSimulator:
             and stop_after is None
         )
         if use_fusion:
-            from repro.statevector.fusion import GateSlab, fuse_slabs
-
             with tracer.span("fuse", stage="fuse", gates=len(ordered)):
-                ops: list = fuse_slabs(list(ordered), chunk_bits=state.chunk_bits)
-            if tracer is not NULL_TRACER:
-                slabs = [op for op in ops if isinstance(op, GateSlab)]
-                if slabs:
-                    tracer.counters.count("fusion.slabs", len(slabs))
-                    tracer.counters.count(
-                        "fusion.gates_fused", sum(len(s.gates) for s in slabs)
-                    )
-                    if tracer.histograms:
-                        widths = tracer.counters.histogram("fused_slab_width")
-                        for slab in slabs:
-                            widths.observe(len(slab.qubits))
+                ops = compile_ops(ordered, state.chunk_bits, fusion=True)
+            self._count_slabs(ops, tracer)
         else:
-            ops = list(ordered)
+            ops = compile_ops(ordered, state.chunk_bits, fusion=False)
 
-        tracker = InvolvementTracker(n)
-        basis = BasisTracker(n) if self.version.basis_tracking_pruning else None
-        total_updates = 0
-        skipped_updates = 0
-        interrupted_at: int | None = None
-
+        tracker = LiveTracker(
+            n,
+            basis=self.version.basis_tracking_pruning,
+            diagonal_aware=self.version.diagonal_aware_pruning,
+        )
+        before = []
         if cancel is not None:
             cancel.poll()
-        try:
-            for index, gate in enumerate(ops):
-                if cancel is not None:
-                    cancel.poll()
-                applying = index >= start_cursor
-                # A slab stands for its member gates: trackers observe
-                # each member (slabs only move amplitude within a group,
-                # so pruning with the post-slab mask stays exact).
-                for member in slab_members(gate):
-                    if basis is not None:
-                        basis.observe(member)
-                    tracker.involve(
-                        member, diagonal_aware=self.version.diagonal_aware_pruning
-                    )
-                groups = chunk_pair_groups(n, state.chunk_bits, gate.qubits)
-                total_updates += len(groups)
-                if self.version.pruning:
-                    def pruned(member: int) -> bool:
-                        if basis is not None:
-                            return basis.chunk_is_pruned(member, state.chunk_bits)
-                        return chunk_is_pruned(member, state.chunk_bits, tracker.mask)
-
-                    live_groups = []
-                    for members in groups:
-                        if all(pruned(m) for m in members):
-                            skipped_updates += 1
-                        else:
-                            live_groups.append(members)
-                    groups = live_groups
-                if not applying:
-                    continue
-                if guard is not None:
-                    guard.begin_gate(index)
-                if tracer.enabled and tracer.histograms and groups:
-                    members = sum(len(g) for g in groups)
-                    tracer.counters.histogram("chunk_bytes").observe(
-                        members * (AMP_BYTES << state.chunk_bits)
-                    )
-                if tracer.enabled:
-                    with tracer.span(
-                        f"apply:{gate.name}",
-                        stage="compute",
-                        gate=index,
-                        groups=len(groups),
-                    ):
-                        self._apply_groups(state, gate, groups, guard, engine, tracer)
-                else:
-                    self._apply_groups(state, gate, groups, guard, engine, tracer)
-                cursor = index + 1
-                if policy.norm_check_every and cursor % policy.norm_check_every == 0:
-                    with tracer.span("norm_check", stage="integrity", gate=index):
+            before.append(lambda index, op: cancel.poll())
+        if guard is not None:
+            before.append(lambda index, op: guard.begin_gate(index))
+        after = []
+        if policy.norm_check_every:
+            def norm_hook(cursor: int) -> None:
+                if cursor % policy.norm_check_every == 0:
+                    with tracer.span("norm_check", stage="integrity", gate=cursor - 1):
                         check_norm(
-                            state.chunks,
+                            state.backing,
                             policy.norm_tolerance,
-                            where=f"{circuit.name} after gate {index}",
+                            where=f"{circuit.name} after gate {cursor - 1}",
                         )
-                if (
-                    checkpoint_every is not None
-                    and cursor % checkpoint_every == 0
-                    and cursor < len(ordered)
-                ):
+
+            after.append(norm_hook)
+        if checkpoint_every is not None:
+            def checkpoint_hook(cursor: int) -> None:
+                if cursor % checkpoint_every == 0 and cursor < len(ordered):
                     with tracer.span("checkpoint", stage="checkpoint", cursor=cursor):
                         save_checkpoint(
                             checkpoint_path,
@@ -741,17 +691,31 @@ class QGpuSimulator:
                             version_name=self.version.name,
                         )
                     report.checkpoints_written += 1
-                if stop_after is not None and cursor >= stop_after:
-                    interrupted_at = cursor
-                    break
-        finally:
-            if engine is not None:
-                engine.close()
+
+            after.append(checkpoint_hook)
+        if stop_after is not None:
+            after.append(lambda cursor: cursor >= stop_after)
+
+        loop = run_gate_loop(
+            state,
+            ops,
+            tracker=tracker,
+            prune=self.version.pruning,
+            start=start_cursor,
+            workers=resolved,
+            tracer=tracer,
+            before=before,
+            after=after,
+            execute=(
+                None if guard is None else self._guarded_execute(state, guard, tracer)
+            ),
+        )
+        interrupted_at = loop.interrupted_at
 
         if tracer is not NULL_TRACER:
             counters = tracer.counters
-            counters.count("chunk_updates.total", total_updates)
-            counters.count("chunk_updates.skipped", skipped_updates)
+            counters.count("chunk_updates.total", loop.chunk_updates_total)
+            counters.count("chunk_updates.skipped", loop.chunk_updates_skipped)
             counters.count("runs.completed" if interrupted_at is None else "runs.interrupted")
             if report.checkpoints_written:
                 counters.count("checkpoints.written", report.checkpoints_written)
@@ -760,11 +724,26 @@ class QGpuSimulator:
             state=state,
             circuit_name=circuit.name,
             version=self.version.name,
-            chunk_updates_total=total_updates,
-            chunk_updates_skipped=skipped_updates,
+            chunk_updates_total=loop.chunk_updates_total,
+            chunk_updates_skipped=loop.chunk_updates_skipped,
             reliability=report,
             interrupted_at=interrupted_at,
         )
+
+    @staticmethod
+    def _count_slabs(ops, tracer: Tracer) -> None:
+        """Fusion statistics into the tracer's counters."""
+        if tracer is NULL_TRACER:
+            return
+        slabs = [op for op in ops if isinstance(op, GateSlab)]
+        if not slabs:
+            return
+        tracer.counters.count("fusion.slabs", len(slabs))
+        tracer.counters.count("fusion.gates_fused", sum(len(s.gates) for s in slabs))
+        if tracer.histograms:
+            widths = tracer.counters.histogram("fused_slab_width")
+            for slab in slabs:
+                widths.observe(len(slab.qubits))
 
     def _allocate_state(
         self,
@@ -791,53 +770,58 @@ class QGpuSimulator:
         )
 
     @staticmethod
-    def _apply_groups(
-        state: ChunkedStateVector,
-        gate,
-        groups: list[tuple[int, ...]],
-        guard: ChunkTransferGuard | None = None,
-        engine: ParallelChunkEngine | None = None,
-        tracer: Tracer = NULL_TRACER,
-    ) -> None:
-        """Apply ``gate`` to the listed chunk groups only.
+    def _guarded_execute(
+        state: ChunkedStateVector, guard: ChunkTransferGuard, tracer: Tracer
+    ):
+        """The gate loop's ``execute`` hook for fault-guarded runs.
 
-        Unguarded runs delegate to the state's group application (serial
-        bit-exact path, or the ``engine``'s worker pool when one is
-        given).  With a ``guard``, every chunk buffer crosses the
-        simulated link twice (H2D before the update, D2H after), so
-        injected transfer faults corrupt real data and recovery is
-        exercised end-to-end; guarded application is always serial.  Each
-        direction of a guarded transfer becomes an ``h2d``/``d2h`` span
-        nested in the caller's gate span.
+        Every live chunk group crosses the simulated link twice (H2D
+        before the update, D2H after), so injected transfer faults corrupt
+        real data and recovery is exercised end to end.  The update itself
+        runs the serial loop's arithmetic on the transferred buffer, and a
+        diagonal op multiplies only the member chunks the sweep would, so
+        a guarded run stays bit-identical to an unguarded one.  Each
+        direction becomes an ``h2d``/``d2h`` span nested in the op span.
         """
-        if guard is None:
-            state.apply_groups(gate, groups, engine)
-            return
-        outside = [q for q in gate.qubits if q >= state.chunk_bits]
-        if not outside:
-            for (index,) in groups:
-                with tracer.span("h2d", stage="h2d", chunk=index):
-                    on_device = guard.transfer(state.chunks[index], f"h2d chunk {index}")
-                apply_gate(on_device, gate)
-                with tracer.span("d2h", stage="d2h", chunk=index):
-                    state.chunks[index][...] = guard.transfer(
-                        on_device, f"d2h chunk {index}"
-                    )
-            return
-        mapping = {q: q for q in gate.qubits if q < state.chunk_bits}
-        for rank, q in enumerate(sorted(outside)):
-            mapping[q] = state.chunk_bits + rank
-        remapped = gate.remapped(mapping)
-        for members in groups:
-            gathered = np.concatenate([state.chunks[m] for m in members])
-            with tracer.span("h2d", stage="h2d", group=members[0]):
-                on_device = guard.transfer(gathered, f"h2d group {members[0]}")
-            apply_gate(on_device, remapped)
-            with tracer.span("d2h", stage="d2h", group=members[0]):
-                gathered = guard.transfer(on_device, f"d2h group {members[0]}")
-            for position, member in enumerate(members):
-                start = position << state.chunk_bits
-                state.chunks[member][...] = gathered[start : start + state.chunk_size]
+        chunk_bits = state.chunk_bits
+
+        def execute(index: int, op, live: OpLive) -> None:
+            groups = live_chunk_groups(
+                state.num_qubits, chunk_bits, op.qubits, live.mask, live.value
+            ).tolist()
+            chunks = state.chunks
+            if not live.outside_bits:
+                for (chunk,) in groups:
+                    with tracer.span("h2d", stage="h2d", chunk=chunk):
+                        on_device = guard.transfer(chunks[chunk], f"h2d chunk {chunk}")
+                    apply_to_buffer(on_device, op)
+                    with tracer.span("d2h", stage="d2h", chunk=chunk):
+                        chunks[chunk][...] = guard.transfer(on_device, f"d2h chunk {chunk}")
+                return
+            mapping = {q: q for q in op.qubits if q < chunk_bits}
+            outside = sorted(q for q in op.qubits if q >= chunk_bits)
+            for rank, q in enumerate(outside):
+                mapping[q] = chunk_bits + rank
+            remapped = op.remapped(mapping)
+            for members in groups:
+                gathered = np.concatenate([chunks[m] for m in members])
+                with tracer.span("h2d", stage="h2d", group=members[0]):
+                    on_device = guard.transfer(gathered, f"h2d group {members[0]}")
+                if op.is_diagonal:
+                    rows = on_device.reshape(len(members), -1)
+                    for row, member in zip(rows, members):
+                        start = member << chunk_bits
+                        if start & live.mask == live.value:
+                            multiply_diagonal(row, op, start)
+                else:
+                    apply_to_buffer(on_device, remapped)
+                with tracer.span("d2h", stage="d2h", group=members[0]):
+                    gathered = guard.transfer(on_device, f"d2h group {members[0]}")
+                for position, member in enumerate(members):
+                    start = position << chunk_bits
+                    chunks[member][...] = gathered[start : start + state.chunk_size]
+
+        return execute
 
     # -- timed ---------------------------------------------------------------
 

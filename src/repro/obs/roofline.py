@@ -44,7 +44,7 @@ class KernelRoofline:
     """Measured roofline placement of one kernel kind.
 
     Attributes:
-        kind: Kernel kind (``diagonal``, ``dense``, ``inside_fused``, ...).
+        kind: Kernel kind (``tiles``, ``single``, ``gather``).
         calls: Batched dispatches recorded (``kernels.<kind>`` counts
             per-chunk invocations for some kinds, so this is the raw
             counter value, reported as-is).

@@ -112,7 +112,7 @@ def save_checkpoint(
         with open(temp, "wb") as handle:
             handle.write(metadata)
             handle.write(_CRC_FIELD.pack(zlib.crc32(metadata)))
-            state_bytes = dump_state(state.to_dense(), handle)
+            state_bytes = dump_state(state.backing, handle)
         os.replace(temp, path)
     except OSError as error:
         temp.unlink(missing_ok=True)

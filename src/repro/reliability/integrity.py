@@ -44,11 +44,15 @@ def verify_chunk(array: np.ndarray, expected_crc: int, label: str = "chunk") -> 
 
 
 def state_norm_squared(chunks_or_amplitudes) -> float:
-    """||psi||^2 of a dense vector or an iterable of chunk arrays."""
+    """||psi||^2 of a dense vector or an iterable of chunk arrays.
+
+    A dense vector (the engine passes its whole backing buffer) takes one
+    ``vdot`` pass: no per-chunk loop and no ``|psi|^2`` temporary.
+    """
     if isinstance(chunks_or_amplitudes, np.ndarray):
-        return float(np.sum(np.abs(chunks_or_amplitudes) ** 2))
+        return float(np.vdot(chunks_or_amplitudes, chunks_or_amplitudes).real)
     return float(
-        sum(np.sum(np.abs(chunk) ** 2) for chunk in chunks_or_amplitudes)
+        sum(np.vdot(chunk, chunk).real for chunk in chunks_or_amplitudes)
     )
 
 

@@ -23,12 +23,7 @@ from repro.statevector.expectation import (
     ising_energy,
 )
 from repro.statevector.io import dump_state, load_state, roundtrip_bytes
-from repro.statevector.kernels import (
-    apply_diagonal_chunk,
-    apply_pair,
-    apply_single_qubit_fused,
-    chunk_diagonal_factor,
-)
+from repro.statevector.kernels import apply_single_qubit_inplace
 from repro.statevector.measure import (
     expectation_z,
     marginal_probability,
@@ -39,9 +34,7 @@ from repro.statevector.measure import (
 from repro.statevector.parallel import (
     AUTO_PARALLEL_THRESHOLD,
     ChunkWorkerPool,
-    ParallelChunkEngine,
     resolve_workers,
-    worker_assignment,
 )
 from repro.statevector.state import StateVector, simulate
 
@@ -52,19 +45,15 @@ __all__ = [
     "DensityMatrix",
     "KrausChannel",
     "Observable",
-    "ParallelChunkEngine",
     "PauliString",
     "StateVector",
     "amplitude_damping",
     "apply_controlled",
     "apply_diagonal",
-    "apply_diagonal_chunk",
     "apply_gate",
     "apply_matrix",
-    "apply_pair",
     "apply_pauli",
-    "apply_single_qubit_fused",
-    "chunk_diagonal_factor",
+    "apply_single_qubit_inplace",
     "chunk_pair_groups",
     "depolarizing",
     "dump_state",
@@ -80,5 +69,4 @@ __all__ = [
     "roundtrip_bytes",
     "sample_counts",
     "simulate",
-    "worker_assignment",
 ]

@@ -8,21 +8,13 @@ bits address *within* a chunk, the high ``n-m`` bits select the chunk.
   independently.
 * A gate touching qubits ``>= m`` ("Case 2") pairs chunks whose indices
   differ in the corresponding chunk-index bits; the paired chunks must be
-  co-resident before the update.
-
-This module implements those mechanics exactly, so the timed executor's
-chunk-schedule logic can be validated against a functional ground truth:
-running a circuit chunked must be bit-identical to running it dense.
+  co-resident before the update (:func:`chunk_pair_groups`, which the
+  timed and multi-GPU models schedule).
 
 Storage is one contiguous backing buffer with the chunks as views into it
-(chunk ``i`` occupies ``[i * 2^m, (i + 1) * 2^m)``), so cross-chunk
-kernels can address amplitude pairs directly instead of gathering copies;
-see :mod:`repro.statevector.kernels`.  The serial (``workers=1``) path
-keeps the baseline gather arithmetic for non-diagonal cross-chunk gates -
-bit-identical to the original engine - while diagonal gates always take
-the in-place zero-copy kernel (provably the same multiply per amplitude).
-``workers > 1`` hands whole chunk groups to the persistent thread pool of
-:class:`~repro.statevector.parallel.ParallelChunkEngine`.
+(chunk ``i`` occupies ``[i * 2^m, (i + 1) * 2^m)``).  ``m`` is the model's
+and pruning's granularity only: gates execute through the one gate loop
+of :mod:`repro.statevector.loop`, in L2-sized tiles over the backing.
 """
 
 from __future__ import annotations
@@ -32,14 +24,12 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.errors import SimulationError
-from repro.statevector.apply import apply_gate
-from repro.statevector.fusion import GateSlab, fuse_slabs, slab_members
-from repro.statevector.kernels import (
-    apply_diagonal_chunk,
-    apply_single_qubit_inplace,
-    chunk_diagonal_factor,
-    count_kernel,
-    kernel_work,
+from repro.statevector.loop import (
+    LiveTracker,
+    compile_ops,
+    live_chunk_groups,
+    run_gate_loop,
+    sweep,
 )
 
 
@@ -53,26 +43,8 @@ def chunk_pair_groups(
     independent update group, in ascending outside-bit order.  For a gate
     fully inside the chunk every group is a singleton.
     """
-    num_chunks = 1 << (num_qubits - chunk_bits)
-    outside = sorted(q - chunk_bits for q in gate_qubits if q >= chunk_bits)
-    if not outside:
-        return [(i,) for i in range(num_chunks)]
-    outside_mask = 0
-    for bit in outside:
-        outside_mask |= 1 << bit
-    groups: list[tuple[int, ...]] = []
-    for base in range(num_chunks):
-        if base & outside_mask:
-            continue  # only enumerate canonical (all-zero outside bits) bases
-        members = []
-        for selector in range(1 << len(outside)):
-            index = base
-            for position, bit in enumerate(outside):
-                if selector >> position & 1:
-                    index |= 1 << bit
-            members.append(index)
-        groups.append(tuple(members))
-    return groups
+    groups = live_chunk_groups(num_qubits, chunk_bits, gate_qubits)
+    return [tuple(group) for group in groups.tolist()]
 
 
 class ChunkedStateVector:
@@ -132,22 +104,6 @@ class ChunkedStateVector:
             ]
         return self._chunks
 
-    def swap_backing(self, new_backing: np.ndarray) -> np.ndarray:
-        """Adopt ``new_backing`` as the amplitude buffer; return the old one.
-
-        The double-buffer handoff of the fused kernels: after a whole-state
-        kernel writes the updated amplitudes into a scratch buffer, the
-        buffers trade places instead of copying back.  Chunk views are
-        re-derived lazily; any previously obtained views keep addressing
-        the *old* buffer.
-        """
-        if new_backing.shape != self._backing.shape or new_backing.dtype != self._backing.dtype:
-            raise SimulationError("swap_backing buffer must match the state layout")
-        old = self._backing
-        self._backing = new_backing
-        self._chunks = None
-        return old
-
     def to_dense(self) -> np.ndarray:
         """A dense copy of the full ``2^n`` vector."""
         return self._backing.copy()
@@ -175,93 +131,16 @@ class ChunkedStateVector:
         out._backing[...] = amplitudes
         return out
 
-    def apply(self, gate: Gate, engine=None) -> "ChunkedStateVector":
-        """Apply one gate to every chunk group (Fig. 1 mechanics).
+    def apply(self, gate: Gate, pool=None) -> "ChunkedStateVector":
+        """Apply one gate (or fusion slab) to the whole state.
 
         Args:
             gate: The gate to apply.
-            engine: Optional
-                :class:`~repro.statevector.parallel.ParallelChunkEngine`;
-                when given, chunk groups execute on its worker pool.
+            pool: Optional
+                :class:`~repro.statevector.parallel.ChunkWorkerPool`; when
+                given, the tiles are split across its workers.
         """
-        groups = chunk_pair_groups(self.num_qubits, self.chunk_bits, gate.qubits)
-        return self.apply_groups(gate, groups, engine)
-
-    def apply_groups(
-        self,
-        gate: Gate,
-        groups: list[tuple[int, ...]],
-        engine=None,
-    ) -> "ChunkedStateVector":
-        """Apply ``gate`` to the listed chunk groups only.
-
-        The pruning-aware callers (:class:`~repro.core.QGpuSimulator` and
-        :meth:`run` with ``pruning=True``) pass the live subset of
-        :func:`chunk_pair_groups`; a skipped group is provably all-zero
-        and unchanged by any unitary.
-
-        ``gate`` may be a :class:`~repro.statevector.fusion.GateSlab`; it
-        flows through the same dispatch by duck-typing :class:`Gate`
-        (width-1 dense slabs additionally take the tiled in-place kernel,
-        amortizing one sweep over every fused member).
-        """
-        if isinstance(gate, GateSlab) and len(gate.gates) > 1:
-            count_kernel("fused_slab")
-        if engine is not None:
-            engine.apply_groups(self, gate, groups)
-            return self
-        itemsize = np.dtype(self.dtype).itemsize
-        if gate.is_diagonal:
-            # Diagonal gates never mix amplitudes: multiply each member
-            # chunk in place (zero-copy, bit-identical to the gathered
-            # path - the same multiplier hits the same amplitude).
-            member_count = sum(len(members) for members in groups)
-            count_kernel("diagonal", member_count)
-            with kernel_work("diagonal", member_count << self.chunk_bits, itemsize):
-                cache: dict[int, np.ndarray | complex] = {}
-                chunks = self.chunks
-                for members in groups:
-                    for member in members:
-                        apply_diagonal_chunk(
-                            chunks[member], gate, self.chunk_bits, member, cache
-                        )
-            return self
-        outside = [q for q in gate.qubits if q >= self.chunk_bits]
-        if not outside:
-            count_kernel("dense", len(groups))
-            with kernel_work("dense", len(groups) << self.chunk_bits, itemsize):
-                chunks = self.chunks
-                if isinstance(gate, GateSlab) and gate.num_qubits == 1:
-                    # A width-1 dense slab (e.g. h.rz.h on one qubit): one
-                    # tiled in-place sweep instead of a gather per member gate.
-                    matrix = gate.matrix()
-                    qubit = gate.qubits[0]
-                    for (index,) in groups:
-                        apply_single_qubit_inplace(chunks[index], matrix, qubit)
-                else:
-                    for (index,) in groups:
-                        apply_gate(chunks[index], gate)
-            return self
-        count_kernel("gather", len(groups))
-        gathered_amps = sum(len(members) for members in groups) << self.chunk_bits
-        with kernel_work("gather", gathered_amps, itemsize):
-            # Baseline serial path: remap outside qubits onto the extra axes
-            # of the gathered buffer - gathered index = (member rank <<
-            # chunk_bits) | offset, member rank bits ordered by ascending
-            # outside qubit.
-            ascending_outside = sorted(outside)
-            mapping = {q: q for q in gate.qubits if q < self.chunk_bits}
-            for rank, q in enumerate(ascending_outside):
-                mapping[q] = self.chunk_bits + rank
-            remapped = gate.remapped(mapping)
-
-            chunks = self.chunks
-            for members in groups:
-                gathered = np.concatenate([chunks[index] for index in members])
-                apply_gate(gathered, remapped)
-                for position, index in enumerate(members):
-                    start = position << self.chunk_bits
-                    chunks[index][...] = gathered[start : start + self.chunk_size]
+        sweep(self._backing, gate, pool=pool)
         return self
 
     def run(
@@ -273,25 +152,21 @@ class ChunkedStateVector:
         tracer=None,
         fusion: str = "on",
     ) -> "ChunkedStateVector":
-        """Apply every gate of ``circuit`` in order.
+        """Apply every gate of ``circuit`` in order, through the gate loop.
 
         Args:
             circuit: Circuit matching this state's width.
-            workers: Chunk-worker threads; ``1`` (default) is the serial,
-                bit-exact baseline path, ``"auto"`` sizes the pool to the
-                host, and ``N > 1`` runs chunk groups on ``N`` threads.
-            pruning: Consult an
-                :class:`~repro.core.involvement.InvolvementTracker` along
-                the way (Algorithm 1's window) and skip chunk groups whose
-                member chunks are all provably zero.
-            tracer: Optional :class:`~repro.obs.Tracer`: per-gate compute
-                spans, kernel counters, and worker-lane spans via the
-                engine.
+            workers: Worker threads; ``1`` (default) is the serial,
+                bit-exact path, ``"auto"`` sizes the pool to the host, and
+                ``N > 1`` splits each op's tiles over ``N`` threads.
+            pruning: Track involvement (Algorithm 1) and skip the chunk
+                groups it proves zero.
+            tracer: Optional :class:`~repro.obs.Tracer`: per-op compute
+                spans, kernel counters, and worker-lane spans.
             fusion: ``"on"`` (default) contracts consecutive gates into
                 slabs via :func:`~repro.statevector.fusion.fuse_slabs`
                 before execution (results agree with the unfused path to
-                ``atol <= 1e-12``); ``"off"`` applies gates one by one -
-                bit-identical to the pre-fusion engine.
+                ``atol <= 1e-12``); ``"off"`` applies gates one by one.
         """
         if circuit.num_qubits != self.num_qubits:
             raise SimulationError(
@@ -304,19 +179,10 @@ class ChunkedStateVector:
         # would cycle.
         from repro.obs.tracer import NULL_TRACER
         from repro.statevector.kernels import set_kernel_counters
-        from repro.statevector.parallel import ParallelChunkEngine, resolve_workers
+        from repro.statevector.parallel import resolve_workers
 
         if tracer is None:
             tracer = NULL_TRACER
-
-        tracker = None
-        if pruning:
-            from repro.core.involvement import InvolvementTracker
-
-            tracker = InvolvementTracker(self.num_qubits)
-
-        resolved = resolve_workers(workers, 1 << self.num_qubits)
-        engine = ParallelChunkEngine(resolved, tracer) if resolved > 1 else None
         previous_counters = (
             set_kernel_counters(
                 tracer.counters, timing=not tracer.clock.deterministic
@@ -324,52 +190,22 @@ class ChunkedStateVector:
             if tracer is not NULL_TRACER
             else None
         )
-        ops = (
-            fuse_slabs(list(circuit), chunk_bits=self.chunk_bits)
-            if fusion == "on"
-            else list(circuit)
-        )
         try:
-            for position, gate in enumerate(ops):
-                groups = chunk_pair_groups(self.num_qubits, self.chunk_bits, gate.qubits)
-                if tracker is not None:
-                    from repro.core.pruning import chunk_is_pruned
-
-                    # A slab only moves amplitude within its group (indices
-                    # differing on union-qubit bits), so involving every
-                    # member before pruning with the post-slab mask is exact.
-                    for member in slab_members(gate):
-                        tracker.involve(member)
-                    live = [
-                        members
-                        for members in groups
-                        if not all(
-                            chunk_is_pruned(m, self.chunk_bits, tracker.mask)
-                            for m in members
-                        )
-                    ]
-                    if tracer is not NULL_TRACER:
-                        tracer.counters.count(
-                            "chunks.pruned",
-                            sum(len(g) for g in groups) - sum(len(g) for g in live),
-                        )
-                    groups = live
-                if tracer.enabled:
-                    with tracer.span(
-                        f"apply:{gate.name}", stage="compute", gate=position
-                    ):
-                        self.apply_groups(gate, groups, engine)
-                else:
-                    self.apply_groups(gate, groups, engine)
-                if tracer is not NULL_TRACER:
-                    tracer.counters.count(
-                        "chunks.updated", sum(len(g) for g in groups)
-                    )
+            loop = run_gate_loop(
+                self,
+                compile_ops(circuit, self.chunk_bits, fusion == "on"),
+                tracker=LiveTracker(self.num_qubits) if pruning else None,
+                prune=pruning,
+                workers=resolve_workers(workers, 1 << self.num_qubits),
+                tracer=tracer,
+            )
+            if tracer is not NULL_TRACER and len(circuit):
+                tracer.counters.count("chunks.updated", loop.chunks_updated)
+                if pruning:
+                    tracer.counters.count("chunks.pruned", loop.chunks_pruned)
         finally:
             if tracer is not NULL_TRACER:
                 set_kernel_counters(*previous_counters)
-            if engine is not None:
-                engine.close()
         return self
 
     def chunk_is_zero(self, index: int, tolerance: float = 0.0) -> bool:
@@ -410,9 +246,4 @@ class ChunkedStateVector:
         return counts
 
 
-__all__ = [
-    "ChunkedStateVector",
-    "chunk_pair_groups",
-    "apply_diagonal_chunk",
-    "chunk_diagonal_factor",
-]
+__all__ = ["ChunkedStateVector", "chunk_pair_groups"]

@@ -20,9 +20,9 @@ Two slab kinds are produced by :func:`fuse_slabs`:
 
 A :class:`GateSlab` duck-types :class:`~repro.circuits.gates.Gate` — it
 exposes ``name``/``qubits``/``num_qubits``/``is_diagonal``/``matrix()``/
-``diagonal()``/``remapped()`` — so the serial chunk path, the parallel
-engine, and the pruning tracker consume slabs through the existing gate
-dispatch without modification.  Single-gate groups are emitted as the
+``diagonal()``/``remapped()`` — so the gate loop's sweep and the pruning
+tracker consume slabs through the existing gate dispatch without
+modification.  Single-gate groups are emitted as the
 bare :class:`Gate`, which keeps ``fusion="off"``-style circuits (nothing
 fusible) byte-identical to the unfused path.
 """
@@ -48,9 +48,10 @@ MAX_FUSION_WIDTH = 4
 MAX_DIAGONAL_WIDTH = 8
 
 #: When ``chunk_bits`` is known, cap the *outside* (chunk-selecting)
-#: qubits a diagonal slab may union.  The chunk kernels memoize one factor
-#: vector per outside-bit pattern, so ``2^outside`` patterns can each
-#: materialise a chunk-sized vector — four keeps that cache bounded.
+#: qubits a diagonal slab may union.  The gate loop builds one factor
+#: vector per pattern of a slab's qubits above its unit, so ``2^outside``
+#: patterns can each materialise a unit-sized vector — four keeps that
+#: table bounded.
 MAX_DIAGONAL_OUTSIDE = 4
 
 
@@ -187,8 +188,8 @@ def fuse_slabs(
         max_diagonal_width: Diagonal slab qubit-union cap.
         chunk_bits: When given, diagonal slabs additionally cap the number
             of qubits at or above ``chunk_bits`` (see
-            :data:`MAX_DIAGONAL_OUTSIDE`) so the per-pattern factor cache
-            in the chunk kernels stays bounded.
+            :data:`MAX_DIAGONAL_OUTSIDE`) so the gate loop's per-pattern
+            factor table stays bounded.
 
     Returns:
         Ops in execution order: :class:`GateSlab` for fused groups,

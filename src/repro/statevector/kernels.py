@@ -1,42 +1,18 @@
-"""Zero-copy chunk kernels for the functional engine.
+"""In-place kernels and work counters for the functional engine.
 
-The baseline chunked engine (Fig. 1 mechanics) applies a cross-chunk gate
-by *gathering* the paired chunks into a fresh ``2x``-sized buffer with
-``np.concatenate``, running the dense kernel on it, and scattering the
-result back.  Per pair group that is two full copies of the data on top of
-the arithmetic - pure memory traffic the GPU recipes in the paper never
-pay, because a real simulator indexes amplitude pairs in place.
+* :func:`apply_single_qubit_inplace` - the tiled *in-place* sweep of a
+  single-qubit gate (or width-1 slab): the buffer is viewed as
+  ``(above, 2, below)`` and each L2-sized tile runs one batched matmul
+  into a thread-local scratch, copied back while the tile is still hot.
+  No second full-size buffer, so the sweep never pays write-allocate
+  traffic on a cold destination; real gate matrices additionally run on
+  the float view of the buffer (half the arithmetic for the same traffic).
+* :func:`count_kernel` / :func:`kernel_work` - the kernel invocation and
+  work counters (amps, bytes, seconds) the gate loop records per op into
+  the registry installed with :func:`set_kernel_counters`.
 
-This module provides the copy-avoiding equivalents, all operating directly
-on the chunk storage:
-
-* :func:`apply_pair` - the 2x2 amplitude-pair kernel for a single-qubit
-  gate whose qubit selects the chunk index (the dominant cross-chunk
-  case): both chunk arrays are updated in place, no concatenation, no
-  temporary double-size buffer.
-* :func:`apply_single_qubit_inplace` - the tiled *in-place* sweep the
-  parallel engine runs whenever every chunk group of a single-qubit gate
-  (or width-1 slab) is live: the buffer is viewed as ``(above, 2, below)``
-  and each L2-sized tile runs one batched matmul into a thread-local
-  scratch, copied back while the tile is still hot.  No second full-size
-  buffer, so the sweep never pays write-allocate traffic on a cold
-  destination; real gate matrices additionally run on the float view of
-  the buffer (half the arithmetic for the same traffic).
-* :func:`apply_single_qubit_fused` - the out-of-place sibling for callers
-  that want the result in a distinct buffer: one batched
-  ``(2,2) @ (groups, 2, w)`` matmul from ``source`` into ``dest`` (swap
-  afterwards - zero copy-back).  Slabs of the batch axis can be
-  dispatched to different workers.
-* :func:`chunk_diagonal_factor` / :func:`apply_diagonal_chunk` - diagonal
-  gates never pair chunks at all: each amplitude is multiplied by a phase
-  selected by its own index bits, so every chunk updates in place with a
-  multiplier vector derived from the chunk index.  Bit-identical to the
-  gathered path (the same complex multiplier hits the same amplitude).
-  Fusion slabs (:mod:`repro.statevector.fusion`) flow through the same
-  entry points by duck-typing :class:`~repro.circuits.gates.Gate`.
-
-All kernels are shape-agnostic numpy; the worker pool in
-:mod:`repro.statevector.parallel` distributes them across chunk groups.
+The gate loop in :mod:`repro.statevector.loop` drives these kernels over
+L2-sized units of the backing buffer.
 """
 
 from __future__ import annotations
@@ -46,7 +22,6 @@ import time
 
 import numpy as np
 
-from repro.circuits.gates import Gate
 from repro.errors import SimulationError
 
 #: Installed :class:`~repro.obs.counters.CounterRegistry` (or None).  A
@@ -150,11 +125,6 @@ def kernel_work(kind: str, amps: int, itemsize: int = 16):
     return _KernelWork(kind, amps, 2 * amps * itemsize)
 
 
-#: Amplitudes each fused matmul call touches: ~4 MiB of complex128, sized
-#: so one tile's read+write traffic stays cache-resident (measured fastest
-#: across qubit positions at 2^20-2^22 amplitudes).
-_TILE_AMPS = 1 << 18
-
 #: Pair elements per scratch tile for the in-place kernels: sized so a
 #: whole (tile, scratch) working set stays L2-resident - measured fastest
 #: at 256-512 KiB across qubit positions, distinctly ahead of both larger
@@ -162,26 +132,16 @@ _TILE_AMPS = 1 << 18
 #: traffic on a second full-size destination).
 _SCRATCH_AMPS = 1 << 15
 
-#: Thread-local scratch store: the tiled in-place kernels reuse two
-#: _SCRATCH_AMPS-sized vectors per (thread, dtype) instead of allocating
-#: fresh full-chunk temporaries on every call.
+#: Pair strides (in elements of the working dtype) up to which the
+#: in-place kernel multiplies whole rows by ``M kron I`` instead of
+#: batching tiny ``2 x stride`` matmuls (measured 2-6x faster for the
+#: three lowest qubits at 2^20 amplitudes).
+_KRON_MAX_BELOW = 8
+
+#: Thread-local scratch store: the tiled in-place kernel reuses one
+#: tile-sized vector per (thread, dtype) instead of allocating a fresh
+#: temporary on every call.
 _scratch_store = threading.local()
-
-
-def _pair_scratch(dtype: np.dtype, amps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two thread-local scratch vectors of at least ``amps`` elements."""
-    buffers = getattr(_scratch_store, "buffers", None)
-    if buffers is None:
-        buffers = _scratch_store.buffers = {}
-    key = np.dtype(dtype).str
-    pair = buffers.get(key)
-    if pair is None or pair[0].size < amps:
-        size = max(amps, _SCRATCH_AMPS)
-        pair = buffers[key] = (
-            np.empty(size, dtype=dtype),
-            np.empty(size, dtype=dtype),
-        )
-    return pair
 
 
 def _tile_scratch(dtype: np.dtype, elems: int) -> np.ndarray:
@@ -208,48 +168,6 @@ def _matmul_tile(matrix: np.ndarray, tile: np.ndarray, scratch: np.ndarray) -> N
     tile[...] = out
 
 
-def _pair_update(lo: np.ndarray, hi: np.ndarray, coeffs: tuple) -> None:
-    """One tile of the 2x2 pair recurrence, in place via shared scratch.
-
-    The operation order is fixed (and identical across tilings): the
-    update is element-wise, so splitting it over tiles cannot change a
-    single floating-point result.
-    """
-    m00, m01, m10, m11 = coeffs
-    s0, s1 = _pair_scratch(lo.dtype, lo.size)
-    t0 = s0[: lo.size].reshape(lo.shape)
-    t1 = s1[: lo.size].reshape(lo.shape)
-    np.multiply(lo, m00, out=t0)
-    np.multiply(hi, m01, out=t1)
-    t0 += t1
-    np.multiply(lo, m10, out=t1)
-    np.multiply(hi, m11, out=hi)
-    hi += t1
-    lo[...] = t0
-
-
-def apply_pair(low: np.ndarray, high: np.ndarray, matrix: np.ndarray) -> None:
-    """Update an amplitude-pair of chunks with a 2x2 unitary, in place.
-
-    ``low``/``high`` hold the amplitudes whose pairing index bit is 0/1;
-    the arrays are updated element-wise (Equation 8 of the paper with the
-    pair stride equal to a whole chunk), tiled through one thread-local
-    scratch pair so peak allocation stays at two cache-sized tiles instead
-    of two full-chunk temporaries per call.
-    """
-    if matrix.shape != (2, 2):
-        raise SimulationError(f"pair kernel needs a 2x2 matrix, got {matrix.shape}")
-    matrix = np.asarray(matrix, dtype=low.dtype)
-    coeffs = (matrix[0, 0], matrix[0, 1], matrix[1, 0], matrix[1, 1])
-    if low.ndim != 1:
-        # Rare shape-agnostic call: one whole-array tile (scratch grows).
-        _pair_update(low, high, coeffs)
-        return
-    for start in range(0, low.size, _SCRATCH_AMPS):
-        end = min(start + _SCRATCH_AMPS, low.size)
-        _pair_update(low[start:end], high[start:end], coeffs)
-
-
 def apply_single_qubit_inplace(
     buffer: np.ndarray,
     matrix: np.ndarray,
@@ -259,12 +177,11 @@ def apply_single_qubit_inplace(
 ) -> None:
     """Tiled in-place pair update of a contiguous buffer (no second buffer).
 
-    The in-place sibling of :func:`apply_single_qubit_fused`: the buffer
-    is viewed as ``(above, 2, below)`` with ``qubit`` on the middle axis
-    and each L2-sized tile runs one batched matmul into the shared
-    scratch, copied straight back while the tile is hot — no output
-    buffer, no swap, no gather, and no write-allocate traffic on a
-    second full-size destination (measured ~1.4x over the double-buffer
+    The buffer is viewed as ``(above, 2, below)`` with ``qubit`` on the
+    middle axis and each L2-sized tile runs one batched matmul into the
+    shared scratch, copied straight back while the tile is hot — no
+    output buffer, no swap, no gather, and no write-allocate traffic on a
+    second full-size destination (measured ~1.4x over a double-buffer
     sweep at 2^22 amplitudes).  Real gate matrices additionally run on
     the float view of the buffer, halving the matmul arithmetic.
 
@@ -298,6 +215,23 @@ def apply_single_qubit_inplace(
         matrix = np.ascontiguousarray(matrix.real, dtype=float_dtype)
         buffer = buffer.view(float_dtype)
         below *= 2
+    if below <= _KRON_MAX_BELOW:
+        # A low qubit pairs elements a few apart: batching (2, below)
+        # blocks would run one tiny matmul each.  Instead every row of
+        # 2*below elements is one pair block, and the whole tile is a
+        # single (rows x 2*below) @ (M kron I_below)^T product.
+        block = np.ascontiguousarray(
+            np.kron(matrix, np.eye(below, dtype=matrix.dtype)).T
+        )
+        rows = buffer.reshape(above, 2 * below)
+        scratch = _tile_scratch(buffer.dtype, 2 * _SCRATCH_AMPS)
+        step = max(1, _SCRATCH_AMPS // below)
+        for row in range(part * above // parts, (part + 1) * above // parts, step):
+            tile = rows[row : min(row + step, (part + 1) * above // parts)]
+            out = scratch[: tile.size].reshape(tile.shape)
+            np.matmul(tile, block, out=out)
+            tile[...] = out
+        return
     view = buffer.reshape(above, 2, below)
     # The column-split path keeps whole rows per tile, so the scratch must
     # cover one full row pair even when the budget is tiny.
@@ -325,137 +259,3 @@ def apply_single_qubit_inplace(
     for col in range(start, stop, step):
         end = min(col + step, stop)
         _matmul_tile(matrix, view[:, :, col:end], scratch)
-
-
-def apply_single_qubit_fused(
-    source: np.ndarray,
-    dest: np.ndarray,
-    matrix: np.ndarray,
-    qubit: int,
-    part: int = 0,
-    parts: int = 1,
-) -> None:
-    """Batched pair update of a whole state vector, written to ``dest``.
-
-    Viewing the ``2^n`` backing buffer as ``(above, 2, below)`` with the
-    target ``qubit`` on the middle axis turns every amplitude pair of the
-    gate into one column of a batched matmul - a single BLAS-backed call
-    replaces the per-group gather/compute/scatter loop.  ``dest`` must be
-    a distinct buffer of the same size; the caller swaps the two
-    afterwards instead of copying back.
-
-    Args:
-        source: Contiguous amplitude buffer (read).
-        dest: Contiguous output buffer of identical size (written).
-        matrix: The 2x2 gate unitary.
-        qubit: Global target qubit index.
-        part: This worker's slab index in ``[0, parts)``.
-        parts: Number of slabs the batch axis is split into; slab
-            boundaries are chosen so every worker owns a contiguous,
-            disjoint range and the union covers the whole state.
-    """
-    below = 1 << qubit
-    above = source.size >> (qubit + 1)
-    matrix = np.asarray(matrix, dtype=source.dtype)
-    if source.dtype.kind == "c" and not matrix.imag.any():
-        # Real gate matrix (h, x, the paper's dominant single-qubit
-        # sweeps): a real coefficient scales the re/im components of a
-        # complex amplitude independently, so the identical sweep runs as
-        # a *real* matmul over the float view - half the arithmetic of a
-        # complex matmul for the same memory traffic, and any tile or
-        # part boundary on the float axis stays correct because every
-        # float component transforms independently.
-        float_dtype = np.float32 if source.dtype == np.complex64 else np.float64
-        matrix = np.ascontiguousarray(matrix.real, dtype=float_dtype)
-        source = source.view(float_dtype)
-        dest = dest.view(float_dtype)
-        below *= 2
-    src = source.reshape(above, 2, below)
-    dst = dest.reshape(above, 2, below)
-    if parts == 1:
-        # Single worker: the sweep is a pure stream through both buffers,
-        # so one whole-array matmul beats any tiling (no reuse to keep
-        # cache-resident, and BLAS picks better internal blocking than a
-        # fixed tile step).
-        np.matmul(matrix, src, out=dst)
-        return
-    if above >= parts:
-        start = part * above // parts
-        stop = (part + 1) * above // parts
-        row_amps = 2 * below
-        if row_amps <= _TILE_AMPS:
-            step = max(1, _TILE_AMPS // row_amps)
-            for row in range(start, stop, step):
-                end = min(row + step, stop)
-                np.matmul(matrix, src[row:end], out=dst[row:end])
-        else:
-            # A single batch row overflows the tile budget (low `above`,
-            # huge `below`): tile along the column axis within each row.
-            col_step = _TILE_AMPS // 2
-            for row in range(start, stop):
-                for col in range(0, below, col_step):
-                    end = min(col + col_step, below)
-                    np.matmul(
-                        matrix,
-                        src[row : row + 1, :, col:end],
-                        out=dst[row : row + 1, :, col:end],
-                    )
-        return
-    # Too few batch rows (qubit near the top): split the column axis instead.
-    start = part * below // parts
-    stop = (part + 1) * below // parts
-    step = max(1, _TILE_AMPS // (2 * above))
-    for col in range(start, stop, step):
-        end = min(col + step, stop)
-        np.matmul(matrix, src[:, :, col:end], out=dst[:, :, col:end])
-
-
-def chunk_diagonal_factor(
-    gate: Gate,
-    chunk_bits: int,
-    chunk_index: int,
-    cache: dict[int, np.ndarray | complex] | None = None,
-) -> np.ndarray | complex:
-    """The per-amplitude multiplier of a diagonal gate, restricted to a chunk.
-
-    A diagonal gate multiplies amplitude ``i`` by ``d[local(i)]`` where
-    ``local(i)`` collects the bits of ``i`` at the gate's qubits.  Within
-    one chunk the bits at qubits ``>= chunk_bits`` are fixed by the chunk
-    index, so the multiplier is a function of the within-chunk offset only:
-    a vector over the chunk (or a scalar when every gate qubit is outside).
-    Chunks sharing the same outside-bit pattern share the factor; pass a
-    ``cache`` dict (keyed on the pattern) to build each one once per gate.
-    """
-    diagonal = gate.diagonal()
-    inside = [(pos, q) for pos, q in enumerate(gate.qubits) if q < chunk_bits]
-    pattern = 0
-    for pos, q in enumerate(gate.qubits):
-        if q >= chunk_bits:
-            pattern |= (chunk_index >> (q - chunk_bits) & 1) << pos
-    if cache is not None and pattern in cache:
-        return cache[pattern]
-    if not inside:
-        factor: np.ndarray | complex = complex(diagonal[pattern])
-    else:
-        offsets = np.arange(1 << chunk_bits)
-        local = np.full(1 << chunk_bits, pattern, dtype=np.intp)
-        for pos, q in inside:
-            local |= (offsets >> q & 1) << pos
-        factor = diagonal[local]
-    if cache is not None:
-        cache[pattern] = factor
-    return factor
-
-
-def apply_diagonal_chunk(
-    chunk: np.ndarray,
-    gate: Gate,
-    chunk_bits: int,
-    chunk_index: int,
-    cache: dict[int, np.ndarray | complex] | None = None,
-) -> None:
-    """Apply a diagonal gate to one chunk in place - no pairing, no gather."""
-    factor = chunk_diagonal_factor(gate, chunk_bits, chunk_index, cache)
-    if isinstance(factor, np.ndarray):
-        factor = np.asarray(factor, dtype=chunk.dtype)
-    chunk *= factor

@@ -16,6 +16,7 @@ from repro.obs import (
     trace_events,
     trace_json,
 )
+from repro.statevector import parallel
 
 
 def _traced_run(workers, clock_factory, qubits=10):
@@ -41,9 +42,10 @@ def test_serial_trace_round_trips_through_events():
     check_spans(spans)
 
 
-def test_parallel_trace_is_wellformed():
-    # Large enough that dense sweeps clear the engine's inline-serial
-    # work floor and actually land on the worker pool.
+def test_parallel_trace_is_wellformed(monkeypatch):
+    # Lower the gate loop's per-worker byte floor so the sweeps of this
+    # run actually land on the worker pool.
+    monkeypatch.setattr(parallel, "PARALLEL_MIN_BYTES", 1 << 16)
     tracer = _traced_run(3, LogicalClock, qubits=19)
     check_spans(tracer.spans)
     lanes = tracer.lanes()

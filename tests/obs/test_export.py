@@ -196,12 +196,16 @@ class TestMultiWorkerRoundTrip:
         from repro.circuits.library import get_circuit
         from repro.core.simulator import QGpuSimulator
 
+        from repro.statevector import parallel
+
         tracer = Tracer()
-        # Wide enough that dense sweeps clear the engine's inline-serial
-        # work floor and fan out to the pool threads.
-        QGpuSimulator(workers=4, chunk_bits=10, tracer=tracer).run(
-            get_circuit("qft", 19)
-        )
+        # Lower the gate loop's per-worker byte floor so the sweeps fan
+        # out to the pool threads.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "PARALLEL_MIN_BYTES", 1 << 16)
+            QGpuSimulator(workers=4, chunk_bits=10, tracer=tracer).run(
+                get_circuit("qft", 19)
+            )
         return tracer
 
     def test_four_worker_trace_is_multi_lane_and_validates(

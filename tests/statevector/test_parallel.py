@@ -1,4 +1,4 @@
-"""Tests for the parallel chunk engine, zero-copy kernels, and worker knobs."""
+"""Tests for the tiled executor's workers, its kernels, and worker knobs."""
 
 from __future__ import annotations
 
@@ -7,23 +7,18 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
-from repro.core.multigpu import assign_round_robin
 from repro.core.simulator import QGpuSimulator
 from repro.core.versions import ALL_VERSIONS
 from repro.errors import SimulationError
 from repro.statevector.chunks import ChunkedStateVector, chunk_pair_groups
-from repro.statevector.kernels import (
-    apply_pair,
-    apply_single_qubit_fused,
-    apply_single_qubit_inplace,
-    chunk_diagonal_factor,
-)
+from repro.statevector.kernels import apply_single_qubit_inplace
+from repro.statevector.loop import diagonal_factor, diagonal_local, sweep
 from repro.statevector.parallel import (
     AUTO_PARALLEL_THRESHOLD,
+    PARALLEL_MIN_BYTES,
     ChunkWorkerPool,
-    ParallelChunkEngine,
+    op_parts,
     resolve_workers,
-    worker_assignment,
 )
 from repro.statevector.state import StateVector
 
@@ -113,37 +108,15 @@ class TestWorkerPool:
         with pytest.raises(SimulationError, match="closed"):
             pool.run_tasks([lambda: None])
 
-    def test_engine_requires_two_workers_and_closes(self):
-        with pytest.raises(SimulationError):
-            ParallelChunkEngine(1)
-        with ParallelChunkEngine(2) as engine:
-            assert engine.workers == 2
-
-
-class TestOwnershipMirrorsMultiGpu:
-    def test_round_robin_slices_match_assign_round_robin(self):
-        gate = Gate("h", (6,))
-        workers = 3
-        assignment = worker_assignment(8, 4, gate, workers)
-        groups = chunk_pair_groups(8, 4, gate.qubits)
-        assert list(assignment.groups) == groups
-        # Worker w's slice items[w::workers] is exactly the set of groups
-        # assign_round_robin gives owner w.
-        for worker in range(workers):
-            sliced = groups[worker::workers]
-            owned = [
-                group
-                for group, owner in zip(assignment.groups, assignment.owners)
-                if owner == worker
-            ]
-            assert sliced == owned
-
-    def test_worker_assignment_is_the_multigpu_function(self):
-        gate = Gate("cz", (5, 6))
-        ours = worker_assignment(7, 4, gate, 2)
-        theirs = assign_round_robin(7, 4, gate, 2)
-        assert ours.groups == theirs.groups
-        assert ours.owners == theirs.owners
+    def test_op_parts_sized_from_live_bytes(self):
+        assert op_parts(1 << 40, None) == 1  # no pool: serial
+        pool = ChunkWorkerPool(2)
+        try:
+            assert op_parts(2 * PARALLEL_MIN_BYTES - 1, pool) == 1
+            assert op_parts(2 * PARALLEL_MIN_BYTES, pool) == 2
+            assert op_parts(1 << 40, pool) == 2  # capped at the pool size
+        finally:
+            pool.close()
 
 
 class TestSerialParallelAgreement:
@@ -193,84 +166,87 @@ class TestSerialParallelAgreement:
         parallel = ChunkedStateVector(6, 3).run(circuit, workers=3)
         np.testing.assert_allclose(parallel.to_dense(), serial.to_dense(), atol=1e-12)
 
-    def test_engine_applies_partial_group_lists(self):
-        # A pruned subset of groups must only touch the listed chunks.
+    def test_pooled_run_survives_switch_storms(self, monkeypatch):
+        # More workers than cores, with thread switches forced every few
+        # microseconds: a lost or doubled unit update would break the
+        # match with the dense reference.  The per-worker byte floor is
+        # lowered so the sweeps of this state fan out.
+        import sys
+        import time
+
+        from repro.obs import Tracer
+        from repro.statevector import parallel
+
+        monkeypatch.setattr(parallel, "PARALLEL_MIN_BYTES", 1 << 16)
+
+        circuit = random_circuit(19, 40, seed=21)
+        expected = StateVector(19).run(circuit).amplitudes
+        tracer = Tracer()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.monotonic()
+            result = QGpuSimulator(workers=6, tracer=tracer).run(circuit)
+            elapsed = time.monotonic() - started
+        finally:
+            sys.setswitchinterval(interval)
+        assert elapsed < 60
+        assert tracer.counters.get("pool.tasks") > 0
+        np.testing.assert_allclose(result.amplitudes, expected, atol=1e-12)
+
+    def test_pool_sweep_touches_only_the_live_set(self):
+        # A pruned sweep must only touch the amplitudes its mask selects,
+        # on the pool exactly as serially.
         state = ChunkedStateVector(6, 4)
-        state.chunks[0][:] = 0
-        state.chunks[0][0] = 1.0
         gate = Gate("h", (5,))
-        groups = chunk_pair_groups(6, 4, gate.qubits)
-        with ParallelChunkEngine(2) as engine:
+        live = (0b010000, 0)  # bit 4 fixed at 0: chunks 0 and 2 only
+        pool = ChunkWorkerPool(2)
+        try:
             reference = ChunkedStateVector(6, 4)
-            reference.apply_groups(gate, groups[:1])
-            state.apply_groups(gate, groups[:1], engine)
-            np.testing.assert_allclose(
-                state.to_dense(), reference.to_dense(), atol=1e-12
-            )
+            sweep(reference.backing, gate, *live)
+            sweep(state.backing, gate, *live, pool=pool)
+        finally:
+            pool.close()
+        np.testing.assert_allclose(state.to_dense(), reference.to_dense(), atol=1e-12)
+        assert not state.backing[16:32].any() and not state.backing[48:].any()
 
 
 class TestKernels:
-    def test_apply_pair_matches_dense_single_qubit(self):
-        rng = np.random.default_rng(0)
-        low = rng.normal(size=8) + 1j * rng.normal(size=8)
-        high = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = np.concatenate([low, high])
-        gate = Gate("h", (3,))
-        expected = state.copy()
-        from repro.statevector.apply import apply_gate
-
-        apply_gate(expected, gate)
-        apply_pair(low, high, gate.matrix())
-        np.testing.assert_allclose(np.concatenate([low, high]), expected, atol=1e-12)
-
-    def test_apply_pair_rejects_non_2x2(self):
-        buffer = np.zeros(4, dtype=np.complex128)
-        with pytest.raises(SimulationError, match="2x2"):
-            apply_pair(buffer, buffer, np.eye(4, dtype=np.complex128))
-
-    @pytest.mark.parametrize("qubit", [0, 3, 7, 9])
-    @pytest.mark.parametrize("parts", [1, 3])
-    def test_fused_single_qubit_matches_dense(self, qubit, parts):
-        rng = np.random.default_rng(qubit)
-        source = (rng.normal(size=1 << 10) + 1j * rng.normal(size=1 << 10)).astype(
-            np.complex128
-        )
-        dest = np.empty_like(source)
-        gate = Gate("h", (qubit,))
-        expected = source.copy()
-        from repro.statevector.apply import apply_gate
-
-        apply_gate(expected, gate)
-        for part in range(parts):
-            apply_single_qubit_fused(source, dest, gate.matrix(), qubit, part, parts)
-        np.testing.assert_allclose(dest, expected, atol=1e-12)
-
-    def test_chunk_diagonal_factor_scalar_and_vector(self):
+    def test_diagonal_factor_scalar_and_vector(self):
         gate = Gate("cz", (4, 5))
-        # Both qubits outside chunk_bits=3: factor is a scalar phase.
-        factor = chunk_diagonal_factor(gate, 3, 0b110000 >> 3)
+        # Both qubits above a 3-bit unit: the factor is a scalar phase.
+        assert diagonal_local(gate, 3) is None
+        factor = diagonal_factor(gate, np.complex128, None, pattern=0b11)
         assert factor == pytest.approx(-1.0)
-        assert chunk_diagonal_factor(gate, 3, 0) == pytest.approx(1.0)
-        # One qubit inside: factor is a per-offset vector.
+        assert diagonal_factor(gate, np.complex128) == pytest.approx(1.0)
+        # One qubit inside: the factor is a per-offset vector.
         mixed = Gate("cz", (1, 4))
-        vector = chunk_diagonal_factor(mixed, 3, 0b10)
+        vector = diagonal_factor(
+            mixed, np.complex128, diagonal_local(mixed, 3), pattern=0b10
+        )
         assert isinstance(vector, np.ndarray)
         assert vector.shape == (8,)
         np.testing.assert_allclose(vector, [1, 1, -1, -1, 1, 1, -1, -1])
 
-    def test_chunk_diagonal_factor_cache_shared_by_pattern(self):
-        gate = Gate("rz", (5,), (0.7,))
-        cache: dict[int, np.ndarray | complex] = {}
-        first = chunk_diagonal_factor(gate, 3, 0, cache)
-        again = chunk_diagonal_factor(gate, 3, 1, cache)  # same outside bits
-        assert first is again
-        other = chunk_diagonal_factor(gate, 3, 0b100, cache)
-        assert other is not first
-        assert len(cache) == 2
+    def test_diagonal_sweep_builds_one_factor_per_pattern(self, monkeypatch):
+        from repro.statevector import loop
+
+        built: list[int] = []
+        original = loop.diagonal_factor
+
+        def counting(op, dtype, local=None, pattern=0):
+            built.append(pattern)
+            return original(op, dtype, local, pattern)
+
+        monkeypatch.setattr(loop, "diagonal_factor", counting)
+        monkeypatch.setattr(loop, "TILE_BITS", 3)
+        state = np.ones(1 << 6, dtype=np.complex128)
+        sweep(state, Gate("rz", (5,), (0.7,)))  # 8 units, 2 patterns
+        assert sorted(built) == [0, 1]
 
 
 class TestTiledKernels:
-    """Cache-tiling edges of the fused / in-place single-qubit kernels."""
+    """Cache-tiling edges of the in-place kernel and the tiled sweep."""
 
     def _random(self, size: int, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -284,48 +260,6 @@ class TestTiledKernels:
         expected = source.copy()
         apply_gate(expected, Gate("h", (qubit,)))
         return expected
-
-    def test_fused_column_axis_path_matches_dense(self, monkeypatch):
-        # Force row_amps > _TILE_AMPS so the per-row column tiling runs:
-        # with the tile budget at 16 amps, qubit=4 in a 256-amp state has
-        # row_amps = 2 * 16 = 32.  parts=2 keeps the call off the untiled
-        # single-worker shortcut.
-        from repro.statevector import kernels
-
-        monkeypatch.setattr(kernels, "_TILE_AMPS", 16)
-        source = self._random(1 << 8)
-        dest = np.empty_like(source)
-        matrix = Gate("h", (4,)).matrix()
-        for part in range(2):
-            apply_single_qubit_fused(source, dest, matrix, 4, part, 2)
-        np.testing.assert_allclose(dest, self._expected(source, 4), atol=1e-12)
-
-    @pytest.mark.parametrize("qubit,parts", [(7, 3), (6, 5)])
-    def test_fused_above_smaller_than_parts_splits_columns(self, qubit, parts):
-        # above = size >> (qubit+1) < parts: the column-axis split path.
-        source = self._random(1 << 8, seed=qubit)
-        assert (source.size >> (qubit + 1)) < parts
-        dest = np.empty_like(source)
-        matrix = Gate("h", (qubit,)).matrix()
-        for part in range(parts):
-            apply_single_qubit_fused(source, dest, matrix, qubit, part, parts)
-        np.testing.assert_allclose(
-            dest, self._expected(source, qubit), atol=1e-12
-        )
-
-    @pytest.mark.parametrize("qubit", [0, 3, 6, 7])
-    @pytest.mark.parametrize("parts", [1, 2, 3])
-    def test_fused_parts_cover_disjointly(self, qubit, parts):
-        # Each part writes a contiguous region; together the regions
-        # partition the state: every index written by exactly one part.
-        source = self._random(1 << 8, seed=1)
-        matrix = Gate("h", (qubit,)).matrix()
-        written_by = np.zeros(source.size, dtype=int)
-        for part in range(parts):
-            dest = np.full_like(source, np.nan)
-            apply_single_qubit_fused(source, dest, matrix, qubit, part, parts)
-            written_by += ~np.isnan(dest.real)
-        assert (written_by == 1).all()
 
     @pytest.mark.parametrize("qubit", [0, 2, 4, 7])
     @pytest.mark.parametrize("parts", [1, 3])
@@ -374,23 +308,23 @@ class TestTiledKernels:
         with pytest.raises(SimulationError, match="cannot host"):
             apply_single_qubit_inplace(buffer, np.eye(2), 3)
 
-    def test_tiled_apply_pair_is_bit_identical_across_tilings(self, monkeypatch):
-        # The pair recurrence is element-wise with a fixed operation
-        # order, so the tile size cannot change a single bit.
-        from repro.statevector import kernels
+    @pytest.mark.parametrize(
+        "gate",
+        [Gate("rx", (0,), (0.8,)), Gate("rx", (7,), (0.8,)), Gate("cx", (7, 1))],
+        ids=str,
+    )
+    def test_serial_sweep_is_bit_identical_across_tilings(self, monkeypatch, gate):
+        # The serial path's arithmetic per amplitude does not depend on
+        # the unit size, so the tiling cannot change a single bit.
+        from repro.statevector import loop
 
-        gate = Gate("rx", (0,), (0.8,))
-        low = self._random(1 << 6, seed=3)
-        high = self._random(1 << 6, seed=4)
-        ref_low, ref_high = low.copy(), high.copy()
-        apply_pair(ref_low, ref_high, gate.matrix())
-        monkeypatch.setattr(kernels, "_SCRATCH_AMPS", 8)
-        apply_pair(low, high, gate.matrix())
+        buffer = self._random(1 << 8, seed=3)
+        reference = buffer.copy()
+        sweep(reference, gate)
+        monkeypatch.setattr(loop, "TILE_BITS", 3)
+        sweep(buffer, gate)
         np.testing.assert_array_equal(
-            low.view(np.uint64), ref_low.view(np.uint64)
-        )
-        np.testing.assert_array_equal(
-            high.view(np.uint64), ref_high.view(np.uint64)
+            buffer.view(np.uint64), reference.view(np.uint64)
         )
 
 
@@ -399,22 +333,6 @@ class TestBackingStorage:
         state = ChunkedStateVector(5, 3)
         state.chunks[1][0] = 0.5
         assert state.backing[1 << 3] == 0.5
-
-    def test_swap_backing_rejects_mismatched_buffer(self):
-        state = ChunkedStateVector(5, 3)
-        with pytest.raises(SimulationError, match="layout"):
-            state.swap_backing(np.zeros(7, dtype=np.complex128))
-        with pytest.raises(SimulationError, match="layout"):
-            state.swap_backing(np.zeros(1 << 5, dtype=np.complex64))
-
-    def test_swap_backing_returns_old_and_rebinds_views(self):
-        state = ChunkedStateVector(5, 3)
-        fresh = np.arange(1 << 5, dtype=np.complex128)
-        old = state.swap_backing(fresh)
-        assert old[0] == 1.0
-        assert state.chunks[0][1] == 1.0  # view of the new buffer
-        state.chunks[2][0] = -9.0
-        assert state.backing[2 << 3] == -9.0
 
 
 class TestSimulatorWorkersKnob:
