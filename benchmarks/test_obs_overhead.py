@@ -19,7 +19,9 @@ three ways in one process:
 
 A second benchmark times the trace-analysis engine itself
 (:func:`repro.obs.analyze` - rollups, critical path, overlap, top-k)
-over the span list of a real traced run.
+over the span list of a real traced run, then ``analyze`` +
+``fleet_analysis`` over synthetic multi-device traces of 10^3 to 10^5
+spans, failing if seconds per span grow more than 4x across that range.
 
 Results go to ``BENCH_obs.json``.  Set ``QGPU_BENCH_SMOKE=1`` for a
 CI-sized run.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import time
 from pathlib import Path
 
@@ -36,6 +39,7 @@ from repro.circuits.library import get_circuit
 from repro.core.simulator import QGpuSimulator
 from repro.core.versions import VERSIONS_BY_NAME
 from repro.obs import LogicalClock, Tracer
+from repro.obs.tracer import Span
 
 SMOKE = os.environ.get("QGPU_BENCH_SMOKE", "") not in ("", "0")
 
@@ -117,8 +121,52 @@ def test_disabled_tracer_overhead() -> None:
     )
 
 
+# Span counts of the scaling traces (about 10^3, 10^4 and 10^5 spans), and
+# the gate: seconds per span at the largest size over those at the smallest.
+# A near-linear pass stays within a small factor; a pass quadratic in the
+# span count misses it by about 100x.
+SCALING_SPANS = (1_000, 10_000, 100_000)
+MAX_PER_SPAN_GROWTH = 4.0
+
+
+def _pipeline_spans(count: int, devices: int = 4) -> list[Span]:
+    """A flat multi-device stream schedule of ``count`` spans.
+
+    Mirrors the DES export's shape: per device an ``h2d`` lane, a compute
+    lane and a ``d2h`` lane, each batch copied in, computed and copied out,
+    with the next batch's copy-in overlapping the current compute.  Batch
+    durations come from a seeded RNG, so the trace is deterministic.
+    """
+    rng = random.Random(count)
+    spans: list[Span] = []
+    lane_free = {}
+    batch = 0
+    while len(spans) < count:
+        device = f"gpu{batch % devices}"
+        ready = 0.0
+        for lane_kind, stage in (("h2d", "h2d"), ("gpu", "compute"), ("d2h", "d2h")):
+            lane = f"{device}:{lane_kind}"
+            start = max(ready, lane_free.get(lane, 0.0))
+            end = start + rng.uniform(0.5, 2.0)
+            lane_free[lane] = ready = end
+            attrs = {"device": device}
+            if stage != "compute":
+                attrs.update(link=f"pcie/host-{device}", bytes=1 << 20)
+            spans.append(Span(
+                index=len(spans), name=f"b{batch}/{lane_kind}", stage=stage,
+                lane=lane, start=start, end=end, parent=None, attrs=attrs,
+            ))
+        batch += 1
+    return spans[:count]
+
+
 def test_analyzer_runtime() -> None:
-    """Time the full trace-analysis pass over a real traced run."""
+    """Time the full trace-analysis pass over a real traced run.
+
+    Then time ``analyze`` + ``fleet_analysis`` on synthetic multi-device
+    traces of 10^3, 10^4 and 10^5 spans, record spans/s for each, and gate
+    the growth of seconds per span from the smallest to the largest.
+    """
     from repro.obs import analyze
 
     circuit = get_circuit("qft", NUM_QUBITS)
@@ -143,6 +191,34 @@ def test_analyzer_runtime() -> None:
     # Sanity floor, not a perf gate: analysis of a modest trace must not
     # take longer than the simulation it describes typically does.
     assert analyze_s < 5.0
+
+    # Scaling: analyze + fleet_analysis on multi-lane traces of growing size.
+    from repro.obs.fleet import fleet_analysis
+
+    rows = []
+    for count in SCALING_SPANS:
+        spans = _pipeline_spans(count)
+        seconds = _best_of(lambda: (analyze(spans), fleet_analysis(spans)))
+        rows.append({
+            "case": f"spans_{count}",
+            "spans": count,
+            "seconds": seconds,
+            "spans_per_second": count / seconds,
+        })
+        print(f"  analyze + fleet: {count:>7} spans in {seconds * 1e3:9.2f} ms "
+              f"({count / seconds:,.0f} spans/s)")
+    growth = (rows[-1]["seconds"] / rows[-1]["spans"]) / (
+        rows[0]["seconds"] / rows[0]["spans"]
+    )
+    _update_results({
+        "analyzer_scaling": rows,
+        "analyzer_per_span_growth": growth,
+        "max_analyzer_per_span_growth": MAX_PER_SPAN_GROWTH,
+    })
+    assert growth <= MAX_PER_SPAN_GROWTH, (
+        f"seconds per span grew {growth:.1f}x from {rows[0]['spans']} to "
+        f"{rows[-1]['spans']} spans (budget {MAX_PER_SPAN_GROWTH:.0f}x)"
+    )
 
 
 def test_profiler_and_memory_overhead() -> None:

@@ -10,6 +10,9 @@ choose, at each step, an executable gate that delays qubit involvement:
   minimum new qubits any gate ready *after* it would introduce.  This looks
   one step past ties and finds orders greedy misses (the paper's Fig. 8c).
 
+Both run through one ready-set loop; greedy is that loop with the
+look-ahead term set to zero.
+
 The paper's pseudocode initialises both running minima to 0, which would
 never admit a positive cost; the intended infinity-initialisation is used
 here.  Ties are broken by original circuit position, making the pass
@@ -26,9 +29,126 @@ from repro.circuits.dag import GateDag
 from repro.errors import CircuitError
 
 
-def _new_qubit_cost(qubits: tuple[int, ...], involved: set[int]) -> int:
-    """Number of ``qubits`` not yet in ``involved`` (Algorithm 3 lines 3-6)."""
-    return sum(1 for q in qubits if q not in involved)
+def _reorder(
+    circuit: QuantumCircuit, commute_diagonals: bool, look_ahead: bool
+) -> QuantumCircuit:
+    """The ready-set loop shared by Algorithms 2 and 3.
+
+    Each step runs the ready gate with the smallest
+    ``(current + look-ahead, current, original index)``: ``current`` is
+    the number of new qubits the gate introduces, the look-ahead term
+    (zero for greedy) the fewest new qubits any gate ready *after* it
+    would introduce.  Ties on the total prefer the gate that is free right
+    now (the paper's Fig. 8c trace runs the zero-cost CNOT before an
+    equal-total Hadamard).
+
+    Nothing rescans the ready list.  The loop keeps each ready gate's
+    ``cost`` (its new-qubit count), the ready gates by cost (``buckets``)
+    and the ready gates on each still-uninvolved qubit (``waiting``).
+    Running a gate changes only the costs of the gates waiting on the
+    qubits it involves.  A candidate's look-ahead minimum needs only the
+    bucket sizes, the gates waiting on its new qubits, and the successors
+    it makes ready.  A step costs O(R) for R ready gates, and one ``min``
+    over a bucket while a zero-cost gate is ready.
+    """
+    dag = GateDag(circuit, commute_diagonals=commute_diagonals)
+    qubits = [node.gate.qubits for node in dag]
+    successors = [sorted(node.successors) for node in dag]
+    pending = [len(node.predecessors) for node in dag]
+    involved = [False] * circuit.num_qubits
+    cost = [0] * len(dag)
+    widest = max((len(gate_qubits) for gate_qubits in qubits), default=0)
+    buckets: list[set[int]] = [set() for _ in range(widest + 1)]
+    waiting: dict[int, set[int]] = {}
+
+    def make_ready(index: int) -> None:
+        new = [q for q in qubits[index] if not involved[q]]
+        cost[index] = len(new)
+        buckets[len(new)].add(index)
+        for q in new:
+            waiting.setdefault(q, set()).add(index)
+
+    def total_cost(index: int) -> tuple[int, int]:
+        """Algorithm 3's ``(current + look-ahead, current)`` for one gate."""
+        current = cost[index]
+        # A ready gate loses one new qubit per new qubit it shares with
+        # ``index``; every other ready gate keeps its cost.
+        shared: dict[int, int] = {}
+        for q in qubits[index]:
+            if not involved[q]:
+                for other in waiting[q]:
+                    shared[other] = shared.get(other, 0) + 1
+        shared.pop(index, None)
+        excluded = [0] * len(buckets)
+        excluded[current] += 1
+        best = None
+        for other, count in shared.items():
+            excluded[cost[other]] += 1
+            after = cost[other] - count
+            if best is None or after < best:
+                best = after
+        for k, members in enumerate(buckets):
+            if best is not None and k >= best:
+                break
+            if len(members) > excluded[k]:
+                best = k
+                break
+        touched = qubits[index]
+        for successor in successors[index]:
+            if pending[successor] == 1:
+                after = sum(
+                    1 for q in qubits[successor]
+                    if not involved[q] and q not in touched
+                )
+                if best is None or after < best:
+                    best = after
+        return current + (best or 0), current
+
+    for index in dag.roots():
+        make_ready(index)
+    order: list[int] = []
+    while any(buckets):
+        lowest = next(k for k, members in enumerate(buckets) if members)
+        if not look_ahead or lowest == 0:
+            # Greedy's look-ahead term is zero, so the lowest bucket wins.
+            # Under Algorithm 3 a zero-cost gate wins too: running it
+            # changes no other cost, so its look-ahead is at most the
+            # cheapest rival's cost, no rival's total is lower, and equal
+            # totals go to the gate of current cost 0.
+            chosen = min(buckets[lowest])
+        else:
+            best_key = None
+            for k, members in enumerate(buckets):
+                # A gate of cost k has a total of at least k and loses
+                # equal totals to the cheaper gates already ranked.
+                if best_key is not None and best_key[0] <= k:
+                    break
+                for index in members:
+                    candidate = (*total_cost(index), index)
+                    if best_key is None or candidate < best_key:
+                        best_key = candidate
+            chosen = best_key[2]
+        buckets[cost[chosen]].discard(chosen)
+        order.append(chosen)
+        for q in qubits[chosen]:
+            if involved[q]:
+                continue
+            involved[q] = True
+            for other in waiting.pop(q):
+                if other != chosen:
+                    buckets[cost[other]].discard(other)
+                    cost[other] -= 1
+                    buckets[cost[other]].add(other)
+        for successor in successors[chosen]:
+            pending[successor] -= 1
+            if pending[successor] == 0:
+                make_ready(successor)
+
+    if len(order) != len(dag):  # pragma: no cover - DAG is acyclic by build
+        raise CircuitError("reordering failed to schedule every gate")
+    return circuit.with_gates(
+        (dag.nodes[index].gate for index in order), suffix=""
+    )
 
 
 def reorder_greedy(circuit: QuantumCircuit, commute_diagonals: bool = False) -> QuantumCircuit:
@@ -43,102 +163,14 @@ def reorder_greedy(circuit: QuantumCircuit, commute_diagonals: bool = False) -> 
     Returns:
         A new circuit whose gate order respects every dependency.
     """
-    dag = GateDag(circuit, commute_diagonals=commute_diagonals)
-    pending = {node.index: len(node.predecessors) for node in dag}
-    ready = dag.roots()
-    involved: set[int] = set()
-    order: list[int] = []
-
-    while ready:
-        best_index = None
-        best_cost = None
-        for index in ready:
-            cost = _new_qubit_cost(dag.nodes[index].gate.qubits, involved)
-            if best_cost is None or cost < best_cost or (
-                cost == best_cost and index < best_index
-            ):
-                best_cost = cost
-                best_index = index
-        ready.remove(best_index)
-        order.append(best_index)
-        involved.update(dag.nodes[best_index].gate.qubits)
-        for successor in sorted(dag.nodes[best_index].successors):
-            pending[successor] -= 1
-            if pending[successor] == 0:
-                ready.append(successor)
-
-    if len(order) != len(dag):  # pragma: no cover - DAG is acyclic by build
-        raise CircuitError("reordering failed to schedule every gate")
-    return circuit.with_gates(
-        (dag.nodes[index].gate for index in order), suffix=""
-    )
-
-
-def _look_ahead_cost(
-    dag: GateDag,
-    candidate: int,
-    ready: list[int],
-    pending: dict[int, int],
-    involved: set[int],
-) -> tuple[int, int]:
-    """Cost of Algorithm 3: new qubits now plus the cheapest next step.
-
-    Returns ``(total cost, current cost)``: ties on the total prefer the
-    gate that is free *right now* (the paper's Fig. 8c trace executes the
-    zero-cost CNOT before an equal-total Hadamard).  Operates on copies;
-    caller state is untouched.
-    """
-    gate = dag.nodes[candidate].gate
-    cost_current = _new_qubit_cost(gate.qubits, involved)
-    involved_after = involved | set(gate.qubits)
-
-    next_ready = [index for index in ready if index != candidate]
-    for successor in dag.nodes[candidate].successors:
-        if pending[successor] == 1:
-            next_ready.append(successor)
-
-    cost_look_ahead = 0
-    if next_ready:
-        cost_look_ahead = min(
-            _new_qubit_cost(dag.nodes[index].gate.qubits, involved_after)
-            for index in next_ready
-        )
-    return cost_current + cost_look_ahead, cost_current
+    return _reorder(circuit, commute_diagonals, look_ahead=False)
 
 
 def reorder_forward_looking(
     circuit: QuantumCircuit, commute_diagonals: bool = False
 ) -> QuantumCircuit:
     """Forward-looking reordering (Algorithm 3)."""
-    dag = GateDag(circuit, commute_diagonals=commute_diagonals)
-    pending = {node.index: len(node.predecessors) for node in dag}
-    ready = dag.roots()
-    involved: set[int] = set()
-    order: list[int] = []
-
-    while ready:
-        best_index = None
-        best_cost = None
-        for index in ready:
-            cost = _look_ahead_cost(dag, index, ready, pending, involved)
-            if best_cost is None or cost < best_cost or (
-                cost == best_cost and index < best_index
-            ):
-                best_cost = cost
-                best_index = index
-        ready.remove(best_index)
-        order.append(best_index)
-        involved.update(dag.nodes[best_index].gate.qubits)
-        for successor in sorted(dag.nodes[best_index].successors):
-            pending[successor] -= 1
-            if pending[successor] == 0:
-                ready.append(successor)
-
-    if len(order) != len(dag):  # pragma: no cover - DAG is acyclic by build
-        raise CircuitError("reordering failed to schedule every gate")
-    return circuit.with_gates(
-        (dag.nodes[index].gate for index in order), suffix=""
-    )
+    return _reorder(circuit, commute_diagonals, look_ahead=True)
 
 
 STRATEGIES = {

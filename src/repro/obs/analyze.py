@@ -23,6 +23,8 @@ off a virtual root spanning the trace extent).
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -289,7 +291,14 @@ def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, 
 
 
 def overlap_stats(spans: list[Span]) -> OverlapStats:
-    """Measure hidden vs exposed transfer time across lanes."""
+    """Measure hidden vs exposed transfer time across lanes.
+
+    Each lane's compute intervals are merged once, and the union of the
+    *other* lanes' compute is built once per transfer lane, so
+    doubly-covered instants count once.  Each transfer span then bisects
+    to the first union interval ending after its start and walks only the
+    intervals it intersects: O(n log n) for a fixed number of lanes.
+    """
     compute_by_lane: dict[str, list[tuple[float, float]]] = {}
     for span in spans:
         if span.stage == "compute" and span.end > span.start:
@@ -298,18 +307,27 @@ def overlap_stats(spans: list[Span]) -> OverlapStats:
         lane: _merge_intervals(intervals)
         for lane, intervals in compute_by_lane.items()
     }
+    # Per transfer lane: the merged other-lane union and its interval ends
+    # (strictly increasing: merged intervals are disjoint and non-empty).
+    others: dict[str, tuple[list[tuple[float, float]], list[float]]] = {}
     stats = OverlapStats()
     for span in spans:
         if span.stage not in TRANSFER_STAGES:
             continue
         stats.transfer += span.duration
-        # Hidden time = time covered by compute on any *other* lane; union
-        # across those lanes so doubly-covered instants count once.
-        other: list[tuple[float, float]] = []
-        for lane, intervals in merged_by_lane.items():
-            if lane != span.lane:
-                other.extend(intervals)
-        for start, end in _merge_intervals(other):
+        if span.lane not in others:
+            union = _merge_intervals([
+                interval
+                for lane, intervals in merged_by_lane.items()
+                if lane != span.lane
+                for interval in intervals
+            ])
+            others[span.lane] = union, [end for _, end in union]
+        union, ends = others[span.lane]
+        for position in range(bisect_right(ends, span.start), len(union)):
+            start, end = union[position]
+            if start >= span.end:
+                break
             lo = max(start, span.start)
             hi = min(end, span.end)
             if hi > lo:
@@ -345,10 +363,11 @@ def top_bottlenecks(spans: list[Span], k: int = 5) -> list[Bottleneck]:
         group.self_time += span.duration - child_time.get(span.index, 0.0)
         group.total += span.duration
         group.count += 1
-    ranked = sorted(
-        groups.values(), key=lambda b: (-b.self_time, b.name, b.stage or "")
+    # nsmallest is sorted(...)[:k] (ties keep input order) in O(n log k).
+    return heapq.nsmallest(
+        max(0, k), groups.values(),
+        key=lambda b: (-b.self_time, b.name, b.stage or ""),
     )
-    return ranked[: max(0, k)]
 
 
 # -- the full analysis ---------------------------------------------------------
