@@ -353,12 +353,15 @@ class QGpuSimulator:
 
     def plan(self, circuit: QuantumCircuit):
         """The full :class:`~repro.planner.BackendPlan` for ``circuit``."""
+        return self._plan(circuit, self.precision)
+
+    def _plan(self, circuit: QuantumCircuit, precision: str):
         from repro.planner import PlannerConfig, plan as plan_circuit
 
         config = PlannerConfig(
             machine=self.machine_spec,
             backend=self.backend,
-            precision=self.precision,
+            precision=precision,
             max_bond=self.max_bond,
         )
         return plan_circuit(circuit, config)
@@ -848,20 +851,16 @@ class QGpuSimulator:
             AnalysisError: ``backend="auto"`` and nothing can execute the
                 circuit.
         """
-        backend, _precision = self.resolve_backend(circuit)
-        if backend == "statevector":
-            return self.estimate(
-                circuit, compression_ratio=compression_ratio
-            ).total_seconds
-        from repro.planner import analyze_circuit, backend_cost
-
-        features = analyze_circuit(circuit, bond_cap=self.max_bond)
-        cost = backend_cost(features, backend, self.machine_spec, "double")
-        if not cost.feasible:
-            raise AnalysisError(
-                f"backend {backend!r} cannot run {circuit.name}: {cost.reason}"
-            )
-        return cost.seconds
+        if self.backend == "statevector" and self.precision != "auto":
+            chosen = None
+        else:
+            # One plan prices the route.  The non-dense engines run double
+            # whatever the precision knob says, so a forced one is priced so.
+            dense_knob = self.backend in ("auto", "statevector")
+            chosen = self._plan(circuit, self.precision if dense_knob else "double")
+        if chosen is None or chosen.backend == "statevector":
+            return self._estimate_dense(circuit, compression_ratio).total_seconds
+        return chosen.estimated_seconds
 
     def estimate(
         self,
@@ -895,6 +894,12 @@ class QGpuSimulator:
                 f"{circuit.name} routes to the {backend!r} backend; use "
                 f"estimate_cost() or repro.planner.plan() instead"
             )
+        return self._estimate_dense(circuit, compression_ratio)
+
+    def _estimate_dense(
+        self, circuit: QuantumCircuit, compression_ratio: float | None
+    ) -> TimedResult:
+        """:meth:`estimate` once the route is known to be dense."""
         if compression_ratio is None:
             compression_ratio = (
                 family_ratio(circuit_family(circuit))

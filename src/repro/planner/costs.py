@@ -19,10 +19,13 @@ Clifford columns, tensor element ops through einsum + SVD for MPS).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import AnalysisError
 from repro.hardware.specs import MachineSpec, PAPER_MACHINE
-from repro.planner.features import CircuitFeatures
+
+if TYPE_CHECKING:  # features imports sparse_seconds; a runtime import would cycle
+    from repro.planner.features import CircuitFeatures
 
 #: Backends the planner knows how to price, in deterministic tie-break
 #: order (earlier wins a tie on estimated seconds).
@@ -158,6 +161,17 @@ def _stabilizer_cost(
     return BackendCost("stabilizer", True, seconds, memory)
 
 
+def sparse_seconds(num_gates: int, entry_ops: float) -> float:
+    """The hash-map engine's price for ``num_gates`` gates and ``entry_ops``.
+
+    Non-decreasing in ``entry_ops``, so a lower bound on the work integral
+    is a lower bound on the price - what the sparse probe's price-floor
+    stop relies on.
+    """
+    c = CALIBRATION["sparse"]
+    return num_gates * c["per_gate_seconds"] + entry_ops / c["entry_ops_per_second"]
+
+
 def _sparse_cost(features: CircuitFeatures, machine: MachineSpec) -> BackendCost:
     support = (
         features.probe_support_peak
@@ -170,14 +184,18 @@ def _sparse_cost(features: CircuitFeatures, machine: MachineSpec) -> BackendCost
             "sparse", False, float("inf"), memory,
             reason="support bound exceeds host memory",
         )
-    c = CALIBRATION["sparse"]
-    seconds = (
-        features.num_gates * c["per_gate_seconds"]
-        + features.sparse_ops / c["entry_ops_per_second"]
-    )
-    reason = "" if features.probe_completed else (
-        "support probe aborted; priced at the structural involvement bound"
-    )
+    seconds = sparse_seconds(features.num_gates, features.sparse_ops)
+    if features.probe_completed:
+        reason = ""
+    elif features.probe_stopped:
+        reason = (
+            "support probe stopped: sparse cannot win; priced at the "
+            "structural involvement bound"
+        )
+    else:
+        reason = (
+            "support probe aborted; priced at the structural involvement bound"
+        )
     return BackendCost("sparse", True, seconds, memory, reason=reason)
 
 

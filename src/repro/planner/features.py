@@ -15,9 +15,10 @@ Feature groups (see ``docs/planner.md`` for the full definitions):
 * **Support**: the *structural* bound from the paper's involvement
   analysis (Algorithm 1's ``2^involved`` window) and a *bounded sparse
   probe* - the circuit prefix is run on the hash-map engine until either
-  it completes or the support exceeds a ceiling, giving the exact
-  support trace for support-sparse workloads (W states, GHZ ladders)
-  that the structural bound cannot see through amplitude cancellation.
+  it completes, a ceiling trips, or sparse's price provably exceeds the
+  caller's price floor, giving the exact support trace for
+  support-sparse workloads (W states, GHZ ladders) that the structural
+  bound cannot see through amplitude cancellation.
 * **Entanglement**: a per-cut bond-growth proxy for the MPS engine (every
   multi-qubit gate can at most double the Schmidt rank across each cut it
   spans) and two-qubit-gate locality, which prices the swap routing
@@ -26,11 +27,14 @@ Feature groups (see ``docs/planner.md`` for the full definitions):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.involvement import InvolvementTracker
 from repro.errors import AnalysisError
+from repro.planner.costs import sparse_seconds
 from repro.sparse.state import SparseState
 from repro.stabilizer import CLIFFORD_GATES, is_clifford_circuit
 
@@ -79,6 +83,10 @@ class CircuitFeatures:
             circuit (equals the final bound - involvement only grows).
         probe_completed: The bounded sparse probe ran the whole circuit
             without exceeding its ceilings.
+        probe_stopped: The probe stopped early because sparse's price
+            could no longer beat the caller's price floor (see
+            :func:`analyze_circuit`); sparse is then priced at the
+            structural bound, like an aborted probe.
         probe_support_peak: Peak exact support seen by the probe (only
             meaningful when ``probe_completed``; otherwise the support at
             abort time, a lower bound).
@@ -120,6 +128,7 @@ class CircuitFeatures:
     support_bound_final: int
     support_bound_peak: int
     probe_completed: bool
+    probe_stopped: bool
     probe_support_peak: int
     probe_support_ops: float
     sparse_ops: float
@@ -135,28 +144,35 @@ def _sparse_probe(
     circuit: QuantumCircuit,
     support_ceiling: int,
     gate_ceiling: int,
-) -> tuple[bool, int, float]:
-    """Run the circuit on the hash-map engine until a ceiling trips.
+    price_floor: float,
+) -> tuple[bool, bool, int, float]:
+    """Run the circuit on the hash-map engine until a ceiling or the floor trips.
 
-    Returns ``(completed, peak_support, support_ops)``.  The probe is the
-    one feature that executes gates, but its work is hard-bounded by the
-    ceilings, so it stays cheap on dense-support circuits (it aborts the
-    moment the support blows up - for an all-qubits Hadamard layer that is
-    after ``log2(ceiling)`` gates).
+    Returns ``(completed, stopped, peak_support, support_ops)``.  The probe
+    is the one feature that executes gates; the ceilings bound its work,
+    and ``price_floor`` ends it as soon as sparse cannot win: before each
+    gate, ``sparse_seconds(gates, ops + cost)`` is a lower bound on
+    sparse's final price (a completed probe adds more work; an aborted one
+    prices the structural integral, whose per-gate term ``live_after *
+    2^k`` bounds every step's ``support_before * 2^k``), so once it exceeds
+    the floor the outcome can no longer change the selection.
     """
+    num_gates = len(circuit)
     state = SparseState(circuit.num_qubits)
     peak = 1
     ops = 0.0
     for index, gate in enumerate(circuit):
         cost = state.support_size * (1 << gate.num_qubits)
         if index >= gate_ceiling or ops + cost > PROBE_WORK_CEILING:
-            return False, peak, ops
+            return False, False, peak, ops
+        if sparse_seconds(num_gates, ops + cost) > price_floor:
+            return False, True, peak, ops
         ops += cost
         state.apply(gate)
         peak = max(peak, state.support_size)
         if state.support_size > support_ceiling:
-            return False, peak, ops
-    return True, peak, ops
+            return False, False, peak, ops
+    return True, False, peak, ops
 
 
 def _bond_growth(
@@ -209,11 +225,19 @@ def analyze_circuit(
     bond_cap: int = 64,
     probe_support_ceiling: int = PROBE_SUPPORT_CEILING,
     probe_gate_ceiling: int = PROBE_GATE_CEILING,
+    sparse_price_floor: Callable[[CircuitFeatures], float] | None = None,
 ) -> CircuitFeatures:
     """Extract the planner's static feature vector from ``circuit``.
 
     Deterministic: no randomness, no timing, no host probing - two calls
     with the same circuit and knobs return equal features.
+
+    ``sparse_price_floor`` receives the features with every probe-free
+    field final and returns the price sparse must beat to be selected
+    (``-inf``: it cannot be, so the probe never applies a gate; ``inf``,
+    the default: run the full probe).  The probe stops once sparse's
+    price provably exceeds it, which never changes a selection made
+    against that floor.
 
     Raises:
         AnalysisError: On an empty register or a nonsensical bond cap.
@@ -240,9 +264,6 @@ def analyze_circuit(
         bound_ops += float(live) * (1 << gate.num_qubits)
     support_bound = min(tracker.live_amplitudes, 1 << n)
 
-    completed, probe_peak, probe_ops = _sparse_probe(
-        circuit, probe_support_ceiling, probe_gate_ceiling
-    )
     bond_peak, mps_ops, truncates = _bond_growth(circuit, bond_cap)
 
     # Imported lazily: the fusion pass lives in the statevector package,
@@ -251,7 +272,7 @@ def analyze_circuit(
 
     fused_sweeps = fused_sweep_count(list(circuit)) if num_gates else 0
 
-    return CircuitFeatures(
+    unprobed = CircuitFeatures(
         name=circuit.name,
         num_qubits=n,
         num_gates=num_gates,
@@ -263,14 +284,27 @@ def analyze_circuit(
         mean_gate_span=sum(spans) / len(spans) if spans else 0.0,
         support_bound_final=support_bound,
         support_bound_peak=support_bound,
-        probe_completed=completed,
-        probe_support_peak=probe_peak,
-        probe_support_ops=probe_ops,
-        sparse_ops=probe_ops if completed else bound_ops,
+        probe_completed=False,
+        probe_stopped=False,
+        probe_support_peak=1,
+        probe_support_ops=0.0,
+        sparse_ops=bound_ops,
         dense_amp_ops=dense_ops,
         fused_sweeps=fused_sweeps,
         bond_estimate=bond_peak,
         mps_ops=mps_ops,
         bond_cap=bond_cap,
         mps_truncates=truncates,
+    )
+    floor = math.inf if sparse_price_floor is None else sparse_price_floor(unprobed)
+    completed, stopped, probe_peak, probe_ops = _sparse_probe(
+        circuit, probe_support_ceiling, probe_gate_ceiling, floor
+    )
+    return replace(
+        unprobed,
+        probe_completed=completed,
+        probe_stopped=stopped,
+        probe_support_peak=probe_peak,
+        probe_support_ops=probe_ops,
+        sparse_ops=probe_ops if completed else bound_ops,
     )

@@ -11,6 +11,7 @@ the batch service journals plans and replays must agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.circuits.circuit import QuantumCircuit
@@ -123,7 +124,7 @@ class BackendPlan:
             f"depth {f.depth}  clifford {f.clifford_fraction:.0%}  "
             f"support bound {f.support_bound_final}  "
             f"probe peak {f.probe_support_peak}"
-            f"{'' if f.probe_completed else ' (aborted)'}  "
+            f"{_probe_note(f)}  "
             f"bond proxy {f.bond_estimate}",
             f"  {'backend':<12} {'feasible':<9} {'est seconds':>12} "
             f"{'est memory':>12}  note",
@@ -143,6 +144,12 @@ class BackendPlan:
         )
         lines.append(f"  rationale: {self.rationale}")
         return "\n".join(lines)
+
+
+def _probe_note(features: CircuitFeatures) -> str:
+    if features.probe_completed:
+        return ""
+    return " (stopped)" if features.probe_stopped else " (aborted)"
 
 
 def _format_bytes(value: float) -> str:
@@ -205,13 +212,41 @@ def _selection_rationale(
     return f"{structure}{comparison}"
 
 
+def _sparse_price_floor(config: PlannerConfig, features: CircuitFeatures) -> float:
+    """The price sparse must beat to be selected under ``config``.
+
+    ``-inf`` when sparse cannot be selected at all (another backend is
+    forced, ``precision="single"`` restricts the pool to the dense engine,
+    or sparse is not a candidate); ``inf`` when it is forced or no rival
+    would stay in the selection pool.  Otherwise the cheapest exact,
+    feasible rival's double-precision price - approximate MPS included
+    under ``allow_approximate`` - which is exactly what :func:`plan`'s
+    ``min`` compares sparse against (sparse, being exact, joins every
+    pool the rivals join).  Only probe-free fields are read.
+    """
+    if config.backend != "auto":
+        return math.inf if config.backend == "sparse" else -math.inf
+    if config.precision == "single" or "sparse" not in config.backends:
+        return -math.inf
+    rivals = tuple(b for b in config.backends if b != "sparse")
+    return min(
+        (
+            cost.seconds
+            for cost in all_backend_costs(features, config.machine, "double", rivals)
+            if cost.feasible and (config.allow_approximate or not cost.approximate)
+        ),
+        default=math.inf,
+    )
+
+
 def plan(
     circuit: QuantumCircuit, config: PlannerConfig = DEFAULT_CONFIG
 ) -> BackendPlan:
     """Choose a backend and precision for ``circuit`` under ``config``.
 
     Deterministic: same circuit + config produce an equal plan with
-    byte-identical rationale.
+    byte-identical rationale.  The sparse probe runs only while its
+    result can still change the selection (see :func:`_sparse_price_floor`).
 
     Raises:
         AnalysisError: On invalid knobs, a forced backend that cannot run
@@ -227,7 +262,11 @@ def plan(
             f"unknown precision {config.precision!r} "
             f"(choose from {sorted(PRECISION_CHOICES)})"
         )
-    features = analyze_circuit(circuit, bond_cap=config.max_bond)
+    features = analyze_circuit(
+        circuit,
+        bond_cap=config.max_bond,
+        sparse_price_floor=lambda unprobed: _sparse_price_floor(config, unprobed),
+    )
     costs = all_backend_costs(
         features, config.machine, "double", config.backends
     )

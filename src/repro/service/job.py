@@ -309,6 +309,10 @@ class Job:
             (logical ticks in deterministic mode, seconds otherwise).
         result: Outcome payload once SUCCEEDED.
         error: Last failure message, if any.
+        route: The ``(backend, precision)`` the planner resolved at
+            submit, reused at execution so the job is planned once.  In
+            memory only: a job loaded from a journal has ``None`` and is
+            planned when it runs.
     """
 
     job_id: str
@@ -326,6 +330,7 @@ class Job:
     finished_at: float | None = None
     result: JobResult | None = None
     error: str | None = None
+    route: tuple[str, str] | None = None
 
     def transition(self, to: JobState, at: float | None = None) -> None:
         """Move to ``to``, enforcing the lifecycle map.

@@ -28,11 +28,12 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.analysis.capacity import host_footprint_bytes
+from repro.circuits.circuit import QuantumCircuit
 from repro.core.planner import QGPU_BASIS_TRACKING, QGPU_DIAGONAL_AWARE
 from repro.core.simulator import QGpuSimulator
 from repro.core.versions import VERSIONS_BY_NAME, VersionConfig
@@ -66,6 +67,9 @@ from repro.service.supervision import (
 from repro.statevector.measure import sample_counts
 from repro.statevector.parallel import resolve_workers
 
+if TYPE_CHECKING:
+    from repro.planner import BackendPlan
+
 #: Default result-cache budget (bytes of canonical-JSON payloads).
 DEFAULT_CACHE_BUDGET = 16 * 1024 * 1024
 
@@ -89,6 +93,7 @@ def execute_job(
     chaos: FaultPlan | None = None,
     job_seq: int = 0,
     attempt: int = 0,
+    route: tuple[str, str] | None = None,
 ) -> JobResult:
     """Run one job to completion (worker-thread body).
 
@@ -107,6 +112,10 @@ def execute_job(
     *service-level* fault plan - distinct from the spec's in-run plan -
     consulted once per attempt for injected worker crashes and stalls,
     keyed deterministically on ``(job_seq, attempt)``.
+
+    ``route`` is the ``(backend, precision)`` the planner already chose
+    for this spec at submit; the simulator then runs it without planning
+    again.  ``None`` runs the spec's own knobs (``"auto"`` plans here).
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     if chaos is not None and chaos.worker_crash(job_seq, attempt):
@@ -128,6 +137,7 @@ def execute_job(
     circuit = spec.build_circuit()
     version = SERVICE_VERSIONS[spec.version]
     plan = FaultPlan.from_spec(spec.fault_plan) if spec.fault_plan else None
+    backend, precision = route if route is not None else (spec.backend, spec.precision)
     simulator = QGpuSimulator(
         machine=machine,
         version=version,
@@ -136,8 +146,8 @@ def execute_job(
         reliability_policy=sim_recovery,
         workers=sim_workers,
         tracer=tracer,
-        backend=spec.backend,
-        precision=spec.precision,
+        backend=backend,
+        precision=precision,
     )
     with tracer.span(
         f"job:{job_id or spec.display_name}", parent=parent_span, job=job_id
@@ -301,6 +311,10 @@ class BatchService:
         self._tokens: dict[str, CancellationToken] = {}  # job id -> RUNNING token
         self._cancel_lock = threading.Lock()  # cancel() vs. dispatch race
         self._cache_puts = 0  # chaos cache-corruption ordinal
+        # Submit-time plans, per instance: (fingerprint, backend, precision)
+        # -> BackendPlan.  Never shared between services, so each one pays
+        # for its own plans.
+        self._plans: dict[tuple[str, str, str], BackendPlan] = {}
 
     def _on_reap(self, job_id: str, kind: str) -> None:
         """Supervisor callback (supervisor thread): count one reap."""
@@ -337,7 +351,9 @@ class BatchService:
                 "dense-double only)"
             )
         circuit = spec.build_circuit()
+        fingerprint = circuit.fingerprint()
         version = SERVICE_VERSIONS[spec.version]
+        route = None
         if spec.backend == "statevector" and spec.precision == "double":
             # The pre-planner path, byte-for-byte: dense footprint from
             # the capacity model, runtime from the timed DES model.
@@ -352,40 +368,50 @@ class BatchService:
         else:
             # Planner-routed jobs: admission and SJF price the *selected*
             # backend, not the dense engine the old service assumed.
-            from repro.planner import PlannerConfig, plan as plan_circuit
-
-            config = PlannerConfig(
-                machine=self.machine,
-                backend=spec.backend,
-                precision=spec.precision,
-            )
-            if self.tracer.enabled:
-                with self.tracer.span(
-                    "plan", stage="plan", circuit=circuit.name
-                ):
-                    chosen = plan_circuit(circuit, config)
-            else:
-                chosen = plan_circuit(circuit, config)
+            chosen = self._plan(circuit, fingerprint, spec)
             self.metrics.count(f"planner.selected.{chosen.backend}")
             footprint = float(chosen.estimated_bytes)
             self.admission.check(footprint)
             estimated = chosen.estimated_seconds
+            route = (chosen.backend, chosen.precision)
         seq = self._next_seq
         self._next_seq += 1
         job = Job(
             job_id=f"j{seq:04d}",
             seq=seq,
             spec=spec,
-            fingerprint=circuit.fingerprint(),
+            fingerprint=fingerprint,
             footprint_bytes=footprint,
             estimated_seconds=estimated,
             submitted_at=self.clock.tick(),
+            route=route,
         )
         self._jobs[job.job_id] = job
         self.metrics.count("jobs_submitted")
         if self.journal is not None:
             self.journal.record_submit(job)
         return job
+
+    def _plan(
+        self, circuit: QuantumCircuit, fingerprint: str, spec: JobSpec
+    ) -> BackendPlan:
+        """The plan for ``circuit`` under ``spec``'s knobs, memoized."""
+        key = (fingerprint, spec.backend, spec.precision)
+        chosen = self._plans.get(key)
+        if chosen is not None:
+            return chosen
+        from repro.planner import PlannerConfig, plan as plan_circuit
+
+        config = PlannerConfig(
+            machine=self.machine, backend=spec.backend, precision=spec.precision
+        )
+        if self.tracer.enabled:
+            with self.tracer.span("plan", stage="plan", circuit=circuit.name):
+                chosen = plan_circuit(circuit, config)
+        else:
+            chosen = plan_circuit(circuit, config)
+        self._plans[key] = chosen
+        return chosen
 
     def adopt_pending(self) -> list[Job]:
         """Adopt the journal's PENDING jobs into this service instance.
@@ -636,6 +662,7 @@ class BatchService:
                     self.chaos_plan,
                     job.seq,
                     job.attempts,
+                    job.route,
                 )
             ] = job.job_id
 
